@@ -130,7 +130,6 @@ int main(int argc, char** argv) {
     spec.bits = int8_bits;
     spec.label = "int8";
     spec.max_batch = kSteadyBatch;
-    spec.fusion = clado::serve::Fusion::kOn;
     Engine engine(tm.model.clone(), std::move(spec));
 
     const std::int64_t per_sample = samples.front().numel();

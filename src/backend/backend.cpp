@@ -22,53 +22,21 @@ Precision precision_for_bits(int bits) {
   return bits <= 4 ? Precision::kInt4 : Precision::kInt8;
 }
 
-namespace {
-
-class Fp32Backend final : public Backend {
- public:
-  const char* name() const override { return "fp32"; }
-  Precision precision() const override { return Precision::kFp32; }
-  void gemm(const PreparedLayer&, std::int64_t, const std::int8_t*, std::int32_t,
-            std::int32_t*) const override {
-    throw std::logic_error(
-        "Fp32Backend::gemm: fp32 layers execute the eager float path, not an integer GEMM");
+void integer_gemm(const PreparedLayer& layer, std::int64_t rows, const std::int8_t* in,
+                  std::int32_t za, std::int32_t* acc) {
+  switch (layer.precision) {
+    case Precision::kInt8:
+      clado::quant::gemm_s8s8_s32(rows, layer.n, layer.k, in, za, layer.w_s8.data(),
+                                  /*zb=*/0, acc);
+      return;
+    case Precision::kInt4:
+      clado::quant::gemm_s8s4_s32(rows, layer.n, layer.k, in, za, layer.w_s4.data(),
+                                  /*zb=*/0, acc);
+      return;
+    case Precision::kFp32:
+      break;
   }
-};
-
-class Int8Backend final : public Backend {
- public:
-  const char* name() const override { return "int8"; }
-  Precision precision() const override { return Precision::kInt8; }
-  void gemm(const PreparedLayer& layer, std::int64_t rows, const std::int8_t* in,
-            std::int32_t za, std::int32_t* acc) const override {
-    clado::quant::gemm_s8s8_s32(rows, layer.n, layer.k, in, za, layer.w_s8.data(),
-                                /*zb=*/0, acc);
-  }
-};
-
-class Int4Backend final : public Backend {
- public:
-  const char* name() const override { return "int4"; }
-  Precision precision() const override { return Precision::kInt4; }
-  void gemm(const PreparedLayer& layer, std::int64_t rows, const std::int8_t* in,
-            std::int32_t za, std::int32_t* acc) const override {
-    clado::quant::gemm_s8s4_s32(rows, layer.n, layer.k, in, za, layer.w_s4.data(),
-                                /*zb=*/0, acc);
-  }
-};
-
-}  // namespace
-
-const Backend& backend_for(Precision p) {
-  static const Fp32Backend fp32;
-  static const Int8Backend int8;
-  static const Int4Backend int4;
-  switch (p) {
-    case Precision::kFp32: return fp32;
-    case Precision::kInt8: return int8;
-    case Precision::kInt4: return int4;
-  }
-  throw std::invalid_argument("backend_for: unknown precision");
+  throw std::logic_error("integer_gemm: a fp32 layer has no integer codes");
 }
 
 PreparedLayer prepare_layer(const clado::quant::WeightCodes& codes, std::int64_t n,

@@ -1,25 +1,26 @@
-// clado::backend — per-precision execution backends.
+// clado::backend — per-precision integer execution material.
 //
 // Everywhere else in the repo a bit-width assignment is *simulated*: the
 // fake-quant pipeline snaps fp32 weights onto the integer grid but still
 // multiplies in float. This subsystem executes the assignment the way the
-// deployment hardware would (in the spirit of MNN's core/Backend split):
-// each quantized layer carries a PreparedLayer — its exact integer codes at
-// the assigned precision — and a Backend implementation runs the matching
-// integer GEMM:
+// deployment hardware would: each quantized layer carries a PreparedLayer
+// — its exact integer codes at the assigned precision — and
+// integer_gemm() switches on that precision between the two kernels:
 //
-//   Fp32Backend  layers with no integer realization (bits == 0, affine /
-//                per-channel schemes, > 8 bits) keep the eager fp32 path.
-//   Int8Backend  int8 codes, the widening AVX2/scalar gemm_s8s8_s32 seam.
-//   Int4Backend  codes packed two per byte, widening s4 dot products
-//                (gemm_s8s4_s32) — real sub-byte storage, not simulation.
+//   kInt8  int8 codes, the widening AVX2/scalar gemm_s8s8_s32 seam.
+//   kInt4  codes packed two per byte, widening s4 dot products
+//          (gemm_s8s4_s32) — real sub-byte storage, not simulation.
+//
+// Layers with no integer realization (bits == 0, affine / per-channel
+// schemes, > 8 bits) are kFp32 and keep the fp32 kernels.
 //
 // Precision boundaries stay in fp32: inputs are quantized to int8 right
-// before a backend GEMM and the int32 accumulator is requantized to fp32
+// before an integer GEMM and the int32 accumulator is requantized to fp32
 // right after, which is exactly the semantics the fake-quant sensitivity
 // sweep calibrated (weights on the grid, activations on the grid, float at
-// layer seams). serve::CompiledPlan selects a backend per layer from the
-// WeightCodes captured when serve::Engine freezes.
+// layer seams). serve::CompiledPlan runs a conv/linear step on integers
+// exactly when serve::Engine handed it an integer PreparedLayer, built
+// from the WeightCodes captured at freeze.
 #pragma once
 
 #include <cstdint>
@@ -50,7 +51,7 @@ const char* precision_name(Precision p);
 Precision precision_for_bits(int bits);
 
 /// Immutable per-layer execution material, built once at engine freeze and
-/// shared by every replica's plan. `n` is the number of weight rows
+/// shared by every plan of the engine. `n` is the number of weight rows
 /// (output channels / features), `k` the reduction length; exactly one of
 /// w_s8 / w_s4 is populated for the integer precisions.
 struct PreparedLayer {
@@ -62,24 +63,12 @@ struct PreparedLayer {
   std::vector<std::uint8_t> w_s4;   ///< [n, (k+1)/2] packed codes (kInt4)
 };
 
-/// One execution precision. Implementations are stateless and process-wide
-/// (see backend_for); all state lives in the PreparedLayer.
-class Backend {
- public:
-  virtual ~Backend() = default;
-  virtual const char* name() const = 0;
-  virtual Precision precision() const = 0;
-
-  /// Integer GEMM of `rows` quantized input rows ([rows, k] int8 with zero
-  /// point `za`) against the prepared weight into acc ([rows, n], int32).
-  /// Weight codes are symmetric (zero point 0). Fp32Backend has no integer
-  /// kernel and throws std::logic_error.
-  virtual void gemm(const PreparedLayer& layer, std::int64_t rows, const std::int8_t* in,
-                    std::int32_t za, std::int32_t* acc) const = 0;
-};
-
-/// The process-wide backend instance for a precision (never null).
-const Backend& backend_for(Precision p);
+/// Integer GEMM of `rows` quantized input rows ([rows, k] int8 with zero
+/// point `za`) against the prepared weight into acc ([rows, n], int32),
+/// on the kernel of layer.precision. Weight codes are symmetric (zero
+/// point 0). Throws std::logic_error on a kFp32 layer, which has no codes.
+void integer_gemm(const PreparedLayer& layer, std::int64_t rows, const std::int8_t* in,
+                  std::int32_t za, std::int32_t* acc);
 
 /// Builds the prepared form of one layer from the codes captured by
 /// quant::bake_weights: int8 codes are kept as-is, <= 4-bit codes are

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "clado/tensor/ops.h"
@@ -72,15 +73,14 @@ Tensor MultiHeadSelfAttention::forward(const Tensor& input) {
   if (input.dim() != 3 || input.size(2) != embed_dim_) {
     throw std::invalid_argument("MultiHeadSelfAttention: bad input shape " + input.shape_str());
   }
-  input_shape_ = input.shape();
   const std::int64_t n = input.size(0);
   const std::int64_t t = input.size(1);
 
-  q_ = query_->forward(input);
-  k_ = key_->forward(input);
-  v_ = value_->forward(input);
+  Tensor q = query_->forward(input);
+  Tensor k = key_->forward(input);
+  Tensor v = value_->forward(input);
 
-  probs_ = Tensor({n, num_heads_, t, t});
+  Tensor probs({n, num_heads_, t, t});
   Tensor ctx({n, t, embed_dim_});
   const float scale = 1.0F / std::sqrt(static_cast<float>(head_dim_));
 
@@ -91,10 +91,10 @@ Tensor MultiHeadSelfAttention::forward(const Tensor& input) {
 
   for (std::int64_t s = 0; s < n; ++s) {
     for (std::int64_t h = 0; h < num_heads_; ++h) {
-      gather_head(q_, s, t, embed_dim_, h, head_dim_, qh.data());
-      gather_head(k_, s, t, embed_dim_, h, head_dim_, kh.data());
-      gather_head(v_, s, t, embed_dim_, h, head_dim_, vh.data());
-      float* scores = probs_.data() + (s * num_heads_ + h) * t * t;
+      gather_head(q, s, t, embed_dim_, h, head_dim_, qh.data());
+      gather_head(k, s, t, embed_dim_, h, head_dim_, kh.data());
+      gather_head(v, s, t, embed_dim_, h, head_dim_, vh.data());
+      float* scores = probs.data() + (s * num_heads_ + h) * t * t;
       // scores [t, t] = scale * Q K^T
       gemm(false, true, t, t, head_dim_, scale, qh.data(), kh.data(), 0.0F, scores);
       softmax_rows(scores, t, t);
@@ -107,6 +107,15 @@ Tensor MultiHeadSelfAttention::forward(const Tensor& input) {
         }
       }
     }
+  }
+  if (!inference_) {
+    // Only backward() reads these; inference mode keeps them local so
+    // concurrent forwards on one module never write shared state.
+    input_shape_ = input.shape();
+    q_ = std::move(q);
+    k_ = std::move(k);
+    v_ = std::move(v);
+    probs_ = std::move(probs);
   }
   return out_proj_->forward(ctx);
 }
@@ -189,8 +198,6 @@ void MultiHeadSelfAttention::collect_quant_layers(const std::string& prefix,
 }
 
 void MultiHeadSelfAttention::set_inference(bool inference) {
-  // The q_/k_/v_/probs_ stashes stay: attention only ever runs inside a
-  // plan fallback step, where the containing block's forward() needs them.
   Module::set_inference(inference);
   query_->set_inference(inference);
   key_->set_inference(inference);

@@ -38,7 +38,7 @@ class MultiHeadSelfAttention : public Module {
   std::int64_t embed_dim_, num_heads_, head_dim_;
   std::unique_ptr<Linear> query_, key_, value_, out_proj_;
 
-  // forward stash
+  // forward stash for backward(); inference-mode forwards keep these local
   Tensor q_, k_, v_;   // [N, T, D] (post projection)
   Tensor probs_;       // [N, heads, T, T] softmax attention weights
   Shape input_shape_;

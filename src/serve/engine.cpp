@@ -17,19 +17,11 @@ namespace clado::serve {
 
 namespace {
 
-bool resolve_fusion(Fusion fusion) {
-  if (fusion != Fusion::kAuto) return fusion == Fusion::kOn;
-  const auto env = clado::tensor::env_str("CLADO_FUSION");
-  if (!env.has_value() || *env == "on" || *env == "1") return true;
-  if (*env == "off" || *env == "0") return false;
-  throw std::invalid_argument("CLADO_FUSION: expected on/1/off/0, got \"" + *env + "\"");
-}
-
 bool resolve_backend(BackendMode mode) {
   if (mode != BackendMode::kAuto) return mode == BackendMode::kOn;
   const auto env = clado::tensor::env_str("CLADO_BACKEND");
-  // Opt-in (unlike fusion): integer execution changes the numerics the
-  // fake-quant pipeline reported, so it must never switch on silently.
+  // Opt-in: integer execution changes the numerics the fake-quant pipeline
+  // reported, so it must never switch on silently.
   if (!env.has_value() || *env == "off" || *env == "0") return false;
   if (*env == "on" || *env == "1") return true;
   throw std::invalid_argument("CLADO_BACKEND: expected on/1/off/0, got \"" + *env + "\"");
@@ -37,74 +29,55 @@ bool resolve_backend(BackendMode mode) {
 
 }  // namespace
 
-Engine::Engine(clado::models::Model model, EngineSpec spec) : spec_(std::move(spec)) {
+Engine::Engine(clado::models::Model model, EngineSpec spec)
+    : spec_(std::move(spec)), model_(std::move(model)) {
   if (spec_.replicas < 1) {
     throw std::invalid_argument("Engine: replicas must be >= 1");
   }
   if (spec_.max_batch < 1) {
     throw std::invalid_argument("Engine: max_batch must be >= 1");
   }
-  const bool fuse = resolve_fusion(spec_.fusion);
   backend_enabled_ = resolve_backend(spec_.backend);
-  if (backend_enabled_ && !fuse) {
-    throw std::invalid_argument(
-        "Engine: backend execution runs inside the compiled plan; "
-        "CLADO_BACKEND=on requires fusion on");
-  }
   const clado::obs::Span span("serve/engine_load");
-  model.net->set_training(false);
-  model.net->clear_cache();
+  model_.net->set_training(false);
+  model_.net->clear_cache();
   std::vector<clado::quant::WeightCodes> codes;
-  const auto report = clado::quant::freeze_quantized(*model.net, model.quant_layers, spec_.bits,
-                                                     model.scheme,
+  const auto report = clado::quant::freeze_quantized(*model_.net, model_.quant_layers, spec_.bits,
+                                                     model_.scheme,
                                                      backend_enabled_ ? &codes : nullptr);
   weight_bytes_ = report.weight_bytes;
   batchnorms_folded_ = report.batchnorms_folded;
-  sample_shape_ = {model.channels, model.image_size, model.image_size};
+  sample_shape_ = {model_.channels, model_.image_size, model_.image_size};
+  model_.net->set_inference(true);
 
+  PreparedMap prep_map;
   if (backend_enabled_) {
-    // The exact integer realization of the frozen weights, built once from
-    // the master (clones share the same frozen values bit for bit).
-    prepared_.reserve(model.quant_layers.size());
-    for (std::size_t i = 0; i < model.quant_layers.size(); ++i) {
-      auto* layer = model.quant_layers[i].layer;
+    // The exact integer realization of the frozen weights, keyed by the
+    // module every plan's conv/linear step reads.
+    prepared_.reserve(model_.quant_layers.size());
+    for (std::size_t i = 0; i < model_.quant_layers.size(); ++i) {
+      auto* layer = model_.quant_layers[i].layer;
       const std::int64_t rows = layer->quant_out_channels();
       const std::int64_t cols = layer->weight_param().value.numel() / rows;
       prepared_.push_back(clado::backend::prepare_layer(codes[i], rows, cols));
+      const auto* mod = dynamic_cast<const clado::nn::Module*>(layer);
+      if (mod != nullptr) prep_map.emplace(mod, &prepared_.back());
     }
   }
 
-  replicas_.reserve(static_cast<std::size_t>(spec_.replicas));
-  for (int r = 1; r < spec_.replicas; ++r) replicas_.push_back(model.clone());
-  replicas_.push_back(std::move(model));
-  for (auto& replica : replicas_) replica.net->set_inference(true);
-
-  if (fuse) {
+  {
     const clado::obs::Span compile_span("serve/plan_compile");
-    plans_.reserve(replicas_.size());
+    plans_.reserve(static_cast<std::size_t>(spec_.replicas));
     std::int64_t backend_layers = 0;
-    for (auto& replica : replicas_) {
-      PreparedMap prep_map;
-      if (backend_enabled_) {
-        // Key the shared PreparedLayers by this replica's own modules: the
-        // plan compiler walks the replica's tree, not the master's.
-        for (std::size_t i = 0; i < replica.quant_layers.size(); ++i) {
-          if (prepared_[i].precision == clado::backend::Precision::kFp32) continue;
-          const auto* mod =
-              dynamic_cast<const clado::nn::Module*>(replica.quant_layers[i].layer);
-          if (mod != nullptr) prep_map.emplace(mod, &prepared_[i]);
-        }
-      }
-      plans_.push_back(std::make_unique<CompiledPlan>(*replica.net, sample_shape_,
-                                                      spec_.max_batch,
-                                                      prep_map.empty() ? nullptr : &prep_map));
+    for (int r = 0; r < spec_.replicas; ++r) {
+      plans_.push_back(std::make_unique<CompiledPlan>(*model_.net, sample_shape_,
+                                                      spec_.max_batch, &prep_map));
       backend_layers += static_cast<std::int64_t>(plans_.back()->backend_steps());
     }
     clado::obs::counter("serve.plans_compiled").add(static_cast<std::int64_t>(plans_.size()));
     if (backend_layers > 0) clado::obs::counter("serve.backend_steps").add(backend_layers);
   }
-  predict_stage_.resize(replicas_.size());
-  predict_out_.resize(replicas_.size());
+  predict_out_.resize(plans_.size());
   clado::obs::counter("serve.engines_loaded").add();
 }
 
@@ -125,85 +98,58 @@ Tensor Engine::infer(const Tensor& batch, int replica) {
                                 std::to_string(sample_shape_[1]) + ", " +
                                 std::to_string(sample_shape_[2]) + "]");
   }
-  const std::int64_t n = batch.size(0);
-  if (fused() && n >= 1 && n <= spec_.max_batch) {
-    auto& plan = *plans_[static_cast<std::size_t>(replica)];
-    const clado::obs::Span span("serve/engine_forward");
-    std::memcpy(plan.input(), batch.data(),
-                sizeof(float) * static_cast<std::size_t>(batch.numel()));
-    Tensor out;
-    plan.run(n, out);
-    return out;
-  }
-  if (fused() && backend_enabled_ && n > spec_.max_batch) {
-    // Backend numerics live only in the plan; falling back to the eager
-    // forward would silently switch this batch to fake-quant arithmetic.
-    // Chunk through the plan instead.
-    auto& plan = *plans_[static_cast<std::size_t>(replica)];
-    const clado::obs::Span span("serve/engine_forward");
-    const std::int64_t sample = plan.sample_numel();
-    const std::int64_t classes = num_classes();
-    Tensor out({n, classes});
-    Tensor chunk_out;
-    for (std::int64_t at = 0; at < n; at += spec_.max_batch) {
-      const std::int64_t take = std::min(spec_.max_batch, n - at);
-      std::memcpy(plan.input(), batch.data() + at * sample,
-                  sizeof(float) * static_cast<std::size_t>(take * sample));
-      plan.run(take, chunk_out);
-      std::memcpy(out.data() + at * classes, chunk_out.data(),
-                  sizeof(float) * static_cast<std::size_t>(take * classes));
-    }
-    return out;
-  }
+  auto& plan = *plans_[static_cast<std::size_t>(replica)];
   const clado::obs::Span span("serve/engine_forward");
-  return replicas_[static_cast<std::size_t>(replica)].net->forward(batch);
+  const std::int64_t n = batch.size(0);
+  const std::int64_t sample = plan.sample_numel();
+  const std::int64_t classes = num_classes();
+  Tensor out({n, classes});
+  Tensor chunk_out;
+  for (std::int64_t at = 0; at < n; at += spec_.max_batch) {
+    const std::int64_t take = std::min(spec_.max_batch, n - at);
+    std::memcpy(plan.input(), batch.data() + at * sample,
+                sizeof(float) * static_cast<std::size_t>(take * sample));
+    plan.run(take, chunk_out);
+    std::memcpy(out.data() + at * classes, chunk_out.data(),
+                sizeof(float) * static_cast<std::size_t>(take * classes));
+  }
+  return out;
 }
 
 float* Engine::batch_buffer(int replica) {
   check_replica(replica);
-  return fused() ? plans_[static_cast<std::size_t>(replica)]->input() : nullptr;
+  return plans_[static_cast<std::size_t>(replica)]->input();
 }
 
 void Engine::infer_pinned(std::int64_t n, Tensor& out, int replica) {
   check_replica(replica);
-  if (!fused()) {
-    throw std::logic_error("Engine::infer_pinned: engine has no compiled plan");
-  }
   const clado::obs::Span span("serve/engine_forward");
   plans_[static_cast<std::size_t>(replica)]->run(n, out);
 }
 
 std::int64_t Engine::predict(const Tensor& sample, int replica) {
   check_replica(replica);
-  if (sample.dim() == 4) return infer(sample, replica).argmax();
-  if (sample.shape() != sample_shape_) {
+  // [C, H, W], or [1, C, H, W]: the trailing dims are checked only once
+  // the rank is known to be 3 or 4.
+  if (!(sample.dim() == 3 || (sample.dim() == 4 && sample.size(0) == 1)) ||
+      sample.size(-3) != sample_shape_[0] || sample.size(-2) != sample_shape_[1] ||
+      sample.size(-1) != sample_shape_[2]) {
     throw std::invalid_argument("Engine::predict: sample " + sample.shape_str() +
-                                " does not match [" + std::to_string(sample_shape_[0]) + ", " +
+                                " is neither [C, H, W] nor [1, C, H, W] for [" +
+                                std::to_string(sample_shape_[0]) + ", " +
                                 std::to_string(sample_shape_[1]) + ", " +
                                 std::to_string(sample_shape_[2]) + "]");
   }
-  if (fused()) {
-    std::memcpy(batch_buffer(replica), sample.data(),
-                sizeof(float) * static_cast<std::size_t>(sample.numel()));
-    infer_pinned(1, predict_out_[static_cast<std::size_t>(replica)], replica);
-    return predict_out_[static_cast<std::size_t>(replica)].argmax();
-  }
-  // Eager path: stage into a persistent per-replica [1, C, H, W] tensor
-  // instead of deep-copying the sample just to prepend the batch axis.
-  Tensor& stage = predict_stage_[static_cast<std::size_t>(replica)];
-  if (stage.numel() != sample.numel() || stage.dim() != 4) {
-    Shape batched = sample_shape_;
-    batched.insert(batched.begin(), 1);
-    stage = Tensor(std::move(batched));
-  }
-  std::memcpy(stage.data(), sample.data(),
+  std::memcpy(batch_buffer(replica), sample.data(),
               sizeof(float) * static_cast<std::size_t>(sample.numel()));
-  return infer(stage, replica).argmax();
+  Tensor& logits = predict_out_[static_cast<std::size_t>(replica)];
+  infer_pinned(1, logits, replica);
+  return logits.argmax();
 }
 
 const CompiledPlan* Engine::plan(int replica) const {
   check_replica(replica);
-  return fused() ? plans_[static_cast<std::size_t>(replica)].get() : nullptr;
+  return plans_[static_cast<std::size_t>(replica)].get();
 }
 
 std::shared_ptr<Engine> EngineRegistry::put(const std::string& key,

@@ -3,11 +3,11 @@
 // An Engine is the deployable form of a trained model plus an MPQ
 // assignment: at load time the network is frozen once (BatchNorm folded,
 // weights overwritten with Q(w, b_i) via clado::quant::freeze_quantized)
-// and then never mutated again. Because the NN engine's forward pass
-// stashes per-layer state, one network object supports only one in-flight
-// forward; the Engine therefore owns `replicas` independent deep copies —
-// server worker w runs batched forwards on replica w, so workers never
-// contend on layer stashes while the heavy GEMMs inside each forward still
+// and then never mutated again. Every forward runs through a CompiledPlan;
+// the Engine keeps the one frozen network and compiles `replicas` plans
+// against it. A plan owns its arena and only reads the shared modules, so
+// server worker w runs batched forwards on plan w without contending on
+// any per-forward state, while the heavy GEMMs inside each forward still
 // fan out across the shared tensor::ThreadPool.
 #pragma once
 
@@ -28,15 +28,15 @@ namespace clado::serve {
 using clado::tensor::Shape;
 using clado::tensor::Tensor;
 
-/// Whether the engine compiles its replicas into CompiledPlans. kAuto
-/// defers to the CLADO_FUSION env var ("on"/"1" or "off"/"0"; unset = on).
-enum class Fusion { kAuto, kOn, kOff };
+/// Kept only so existing EngineSpec initializers still compile: every
+/// Engine serves through compiled plans, and the Engine ignores
+/// EngineSpec::fusion.
+enum class Fusion { kOn };
 
 /// Whether quantized layers execute on true integer backends (int8/int4
 /// kernels selected per layer from the frozen bit assignment) instead of
 /// the fake-quant fp32 simulation. kAuto defers to the CLADO_BACKEND env
-/// var ("on"/"1" or "off"/"0"; unset = off). Backend execution runs inside
-/// the compiled plan, so it requires fusion to resolve on.
+/// var ("on"/"1" or "off"/"0"; unset = off).
 enum class BackendMode { kAuto, kOn, kOff };
 
 /// How to freeze an Engine's weights at load time.
@@ -45,12 +45,14 @@ struct EngineSpec {
   /// fp32); empty = all-fp32 engine. BatchNorm is folded either way, so
   /// fp32 and quantized engines run the same deployment graph.
   std::vector<int> bits;
-  int replicas = 1;   ///< independent forward contexts (>= server workers)
+  /// Compiled plans over the frozen network, i.e. concurrent forwards
+  /// (>= server workers).
+  int replicas = 1;
   std::string label;  ///< display name, e.g. "int8", "mixed-0.375", "fp32"
-  /// Largest batch the compiled plan's arena is sized for; batches beyond
-  /// it (and all batches on unfused engines) take the eager path.
+  /// Largest batch a plan's arena is sized for; infer() runs larger
+  /// batches through the plan in chunks of this size.
   std::int64_t max_batch = 32;
-  Fusion fusion = Fusion::kAuto;
+  Fusion fusion = Fusion::kOn;  ///< ignored (see Fusion)
   BackendMode backend = BackendMode::kAuto;
 };
 
@@ -64,9 +66,9 @@ class Engine {
   Engine(clado::models::Model model, EngineSpec spec);
 
   const std::string& label() const { return spec_.label; }
-  const std::string& model_name() const { return replicas_.front().name; }
-  int replicas() const { return static_cast<int>(replicas_.size()); }
-  std::int64_t num_classes() const { return replicas_.front().num_classes; }
+  const std::string& model_name() const { return model_.name; }
+  int replicas() const { return static_cast<int>(plans_.size()); }
+  std::int64_t num_classes() const { return model_.num_classes; }
   const Shape& sample_shape() const { return sample_shape_; }  ///< [C, H, W]
   const std::vector<int>& bits() const { return spec_.bits; }
   /// Frozen weight storage (Σ |w_i| · b_i / 8; fp32 layers at 32 bits).
@@ -74,20 +76,16 @@ class Engine {
   int batchnorms_folded() const { return batchnorms_folded_; }
 
   /// Batched forward: input [N, C, H, W] -> logits [N, num_classes], run
-  /// on replica `replica`. Throws std::invalid_argument on a shape
-  /// mismatch or an out-of-range replica id. Fused engines route batches
-  /// up to plan_batch_capacity() through the replica's CompiledPlan.
+  /// through replica `replica`'s plan in chunks of at most
+  /// plan_batch_capacity() samples. Throws std::invalid_argument on a
+  /// shape mismatch or an out-of-range replica id.
   Tensor infer(const Tensor& batch, int replica = 0);
 
-  /// True when replicas carry compiled plans (fusion resolved to on).
-  bool fused() const { return !plans_.empty(); }
-  /// Plan arena batch capacity; 0 on unfused engines.
-  std::int64_t plan_batch_capacity() const { return fused() ? spec_.max_batch : 0; }
+  /// Plan arena batch capacity (EngineSpec::max_batch).
+  std::int64_t plan_batch_capacity() const { return spec_.max_batch; }
 
   /// True when quantized layers execute on integer backends (BackendMode
-  /// resolved to on). Backend engines route every batch through the plan —
-  /// batches beyond plan_batch_capacity() are chunked — so one engine never
-  /// mixes integer and fake-quant numerics across batch sizes.
+  /// resolved to on).
   bool backend_enabled() const { return backend_enabled_; }
   /// Per-quant-layer execution material (empty unless backend_enabled());
   /// ordered like Model::quant_layers / EngineSpec::bits.
@@ -96,38 +94,38 @@ class Engine {
   }
 
   /// Pinned batch-stacking buffer of `replica`'s plan (room for
-  /// plan_batch_capacity() samples of sample_shape()); nullptr on unfused
-  /// engines. Callers memcpy samples here, then call infer_pinned.
+  /// plan_batch_capacity() samples of sample_shape()). Callers memcpy
+  /// samples here, then call infer_pinned.
   float* batch_buffer(int replica = 0);
 
   /// Runs the plan on the first `n` samples staged in batch_buffer(),
   /// writing logits into `out` ([n, num_classes]; reallocated only on a
   /// shape change, so steady-state same-n calls are allocation-free).
-  /// Throws std::logic_error on unfused engines.
   void infer_pinned(std::int64_t n, Tensor& out, int replica = 0);
 
-  /// Top-1 class of one sample [C, H, W] (or [1, C, H, W]) on `replica`.
-  /// Stages through per-replica persistent buffers instead of deep-copying
-  /// the sample to prepend a batch axis.
+  /// Top-1 class of one sample [C, H, W] (or [1, C, H, W]) on `replica`,
+  /// staged through the plan's pinned buffer. Throws std::invalid_argument
+  /// on any other shape, including a batch of more than one sample.
   std::int64_t predict(const Tensor& sample, int replica = 0);
 
-  /// Compiled plan of `replica` (nullptr on unfused engines) — plan
-  /// introspection for tests and diagnostics.
+  /// Compiled plan of `replica` — plan introspection for tests and
+  /// diagnostics.
   const CompiledPlan* plan(int replica = 0) const;
 
  private:
   void check_replica(int replica) const;
 
   EngineSpec spec_;
-  std::vector<clado::models::Model> replicas_;
+  /// The one frozen network; every plan's steps point into its modules, so
+  /// it is declared before (and outlives) plans_.
+  clado::models::Model model_;
   bool backend_enabled_ = false;
-  /// Integer codes per quant layer, built once from the frozen master and
-  /// shared (by pointer) with every replica's plan. Stable storage: never
-  /// resized after construction.
+  /// Integer codes per quant layer, built once at freeze and shared (by
+  /// pointer) with every plan. Stable storage: never resized after
+  /// construction.
   std::vector<clado::backend::PreparedLayer> prepared_;
-  std::vector<std::unique_ptr<CompiledPlan>> plans_;  ///< one per replica when fused
-  std::vector<Tensor> predict_stage_;  ///< per-replica [1, C, H, W] staging
-  std::vector<Tensor> predict_out_;    ///< per-replica logits scratch
+  std::vector<std::unique_ptr<CompiledPlan>> plans_;  ///< one per replica
+  std::vector<Tensor> predict_out_;                   ///< per-replica logits scratch
   Shape sample_shape_;
   double weight_bytes_ = 0.0;
   int batchnorms_folded_ = 0;

@@ -1,7 +1,8 @@
 // clado::serve::CompiledPlan — the serving graph compiler.
 //
-// At Engine construction the frozen Sequential is walked once into a flat
-// list of PlanSteps over a single preplanned float arena:
+// At Engine construction the frozen Sequential is walked once per replica
+// into a flat list of PlanSteps over that plan's own preplanned float
+// arena:
 //   * conv→(folded BN)→activation chains collapse into one step (the
 //     activation is applied in-place on the conv's output buffer),
 //   * every intermediate, im2col and batch-stacking buffer shape is
@@ -12,6 +13,11 @@
 // plannable graphs (all CNN zoo models); modules the compiler does not
 // understand (transformer blocks, un-folded BatchNorm) become fallback
 // steps that stage through the module's own forward().
+//
+// A plan owns all per-forward state (arena, staging tensors, integer
+// workspaces) and only reads the modules it was compiled from, so several
+// plans over one frozen network run concurrently; fallback modules must
+// keep their inference-mode forward free of member writes.
 //
 // Every step replays the exact kernel call sequence and elementwise loop
 // order of the eager forwards, so plan logits are bit-identical to
@@ -38,7 +44,7 @@ using clado::tensor::Tensor;
 /// Per-layer execution material the Engine hands the compiler: module ->
 /// the PreparedLayer (integer codes + precision) built from the WeightCodes
 /// captured at freeze. Layers absent from the map (or mapped to a kFp32
-/// entry) keep the eager fp32 kernels.
+/// entry) keep the fp32 kernels.
 using PreparedMap =
     std::unordered_map<const clado::nn::Module*, const clado::backend::PreparedLayer*>;
 
@@ -83,8 +89,8 @@ struct PlanBuffer {
 };
 
 /// One executable node of the compiled graph. Layer pointers alias the
-/// engine replica's module tree (which owns them); `stage_in` is the
-/// persistent staging tensor of fallback steps.
+/// engine's frozen module tree (which owns them and is shared by every
+/// plan); `stage_in` is the persistent staging tensor of fallback steps.
 struct PlanStep {
   StepKind kind = StepKind::kFallback;
   int in = -1;       ///< input buffer id
@@ -116,13 +122,12 @@ struct PlanStep {
   std::int64_t take_tokens = 0, take_dim = 0, take_index = 0;
   Shape in_shape, out_shape;  ///< per-sample shapes (no batch axis)
 
-  // Integer-backend execution (kConv / kLinear selected by the Engine's
-  // PreparedMap). When `backend` is null the step runs the eager fp32
-  // kernels; otherwise the input is quantized to int8, the prepared integer
-  // weight GEMM runs at the layer's assigned precision, and the int32
-  // accumulator is requantized to fp32 in `out` — float only at the layer
-  // seams, exactly the fake-quant semantics.
-  const clado::backend::Backend* backend = nullptr;
+  // Integer execution (kConv / kLinear selected by the Engine's
+  // PreparedMap). When `prepared` is null the step runs the fp32 kernels;
+  // otherwise the input is quantized to int8, the prepared integer weight
+  // GEMM runs at the layer's assigned precision, and the int32 accumulator
+  // is requantized to fp32 in `out` — float only at the layer seams,
+  // exactly the fake-quant semantics.
   const clado::backend::PreparedLayer* prepared = nullptr;
   bool in_static_q = false;  ///< input qparams frozen at compile (FQ producer)
   float in_scale = 1.0F;     ///< input scale (recomputed per run when dynamic)
@@ -136,7 +141,8 @@ struct PlanStep {
 };
 
 /// Compiled execution plan for one engine replica. Not thread-safe: calls
-/// on the same plan must not overlap (mirrors the replica contract).
+/// on the same plan must not overlap; distinct plans over the same network
+/// may run concurrently.
 class CompiledPlan {
  public:
   /// Walks `net` (frozen, inference mode) with per-sample input shape
@@ -144,7 +150,7 @@ class CompiledPlan {
   /// samples. Unrecognized modules are probed with a zeros [1, ...] forward
   /// to learn their output shape. When `prepared` is non-null, conv/linear
   /// steps whose module maps to an integer PreparedLayer execute on that
-  /// backend (consistency-checked against the layer geometry). Throws
+  /// precision (consistency-checked against the layer geometry). Throws
   /// std::invalid_argument on max_batch < 1.
   CompiledPlan(clado::nn::Sequential& net, const Shape& sample_shape, std::int64_t max_batch,
                const PreparedMap* prepared = nullptr);
@@ -170,7 +176,7 @@ class CompiledPlan {
   std::size_t num_steps() const { return steps_.size(); }
   /// Steps the compiler could not fuse into the arena program.
   std::size_t fallback_steps() const;
-  /// Conv/linear steps running on an integer backend.
+  /// Conv/linear steps running on integer kernels (`prepared` set).
   std::size_t backend_steps() const;
   const std::vector<PlanStep>& steps() const { return steps_; }
   const std::vector<PlanBuffer>& buffers() const { return buffers_; }
@@ -178,13 +184,13 @@ class CompiledPlan {
   const Shape& output_shape() const { return output_shape_; }
   /// Human-readable step listing, one line per step; conv/linear lines
   /// carry a `backend=fp32|int8|int4` tag (the arithmetic that executes)
-  /// plus `in=static|dynamic` for backend steps.
+  /// plus `in=static|dynamic` for integer steps.
   std::string dump() const;
 
  private:
   void compile_module(clado::nn::Module& module);
   void compile_children(clado::nn::Sequential& seq);
-  /// Attaches an integer backend to a freshly-built conv/linear step when
+  /// Attaches integer execution to a freshly-built conv/linear step when
   /// the Engine's PreparedMap carries integer codes for `module`. `wn`/`wk`
   /// are the layer's expected weight-matrix dims (validated against the
   /// PreparedLayer), `acc_numel`/`cols_numel` size the int32 accumulator

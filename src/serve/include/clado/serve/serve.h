@@ -8,10 +8,9 @@
 // serving reuses the pool's worker lifecycle instead of hand-rolled
 // threads — coalesce compatible requests into micro-batches: a worker
 // holds the oldest request for at most max_delay_us waiting for the queue
-// to reach max_batch, then stacks the admitted inputs — directly into the
-// compiled plan's pinned batch buffer on fused engines, into a fresh
-// [N,C,H,W] tensor otherwise — and runs a single batched forward on its
-// own Engine replica.
+// to reach max_batch, then stacks the admitted inputs directly into the
+// pinned batch buffer of its own Engine replica's compiled plan and runs a
+// single batched forward there.
 // Requests whose deadline expired while queued are dropped before
 // execution (kDeadlineExpired). drain() stops admission, finishes every
 // already-admitted request, and parks the workers; the destructor drains.
@@ -83,7 +82,9 @@ struct Response {
 
 struct ServerConfig {
   int workers = 2;                   ///< worker loops; engine needs >= this many replicas
-  std::int64_t max_batch = 8;        ///< micro-batch size cap
+  /// Micro-batch size cap; the Server lowers it to the engine's
+  /// plan_batch_capacity() when larger.
+  std::int64_t max_batch = 8;
   std::int64_t max_delay_us = 2000;  ///< max time the oldest request waits for co-batching
   std::int64_t queue_capacity = 256; ///< admission bound (backpressure past this)
   /// Queue depth past which best-effort requests are shed; 0 = auto
@@ -155,9 +156,9 @@ class Server {
 
   std::int64_t now_us() const;
   void worker_loop(int worker);
-  /// `logits` is the worker's persistent output tensor: on fused engines
-  /// the batch is memcpy'd into the plan's pinned buffer and infer_pinned
-  /// writes logits in place, so steady-state batches allocate nothing.
+  /// `logits` is the worker's persistent output tensor: the batch is
+  /// memcpy'd into the plan's pinned buffer and infer_pinned writes logits
+  /// in place, so steady-state batches allocate nothing.
   void execute_batch(int worker, std::vector<Pending> batch, std::int64_t formed_us,
                      Tensor& logits);
 

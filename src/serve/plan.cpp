@@ -99,7 +99,7 @@ std::size_t CompiledPlan::fallback_steps() const {
 
 std::size_t CompiledPlan::backend_steps() const {
   std::size_t n = 0;
-  for (const auto& step : steps_) n += step.backend != nullptr ? 1 : 0;
+  for (const auto& step : steps_) n += step.prepared != nullptr ? 1 : 0;
   return n;
 }
 
@@ -111,8 +111,9 @@ std::string CompiledPlan::dump() const {
            shape_str(step.in_shape) + " -> " + shape_str(step.out_shape);
     if (step.kind == StepKind::kConv || step.kind == StepKind::kLinear) {
       out += " backend=";
-      out += step.backend != nullptr ? step.backend->name() : "fp32";
-      if (step.backend != nullptr) {
+      out += step.prepared != nullptr ? clado::backend::precision_name(step.prepared->precision)
+                                      : "fp32";
+      if (step.prepared != nullptr) {
         out += step.in_static_q ? " in=static" : " in=dynamic";
       }
     }
@@ -135,12 +136,11 @@ void CompiledPlan::attach_backend(PlanStep& step, const Module& module, std::int
   if (prep.precision == clado::backend::Precision::kFp32) return;
   if (prep.n != wn || prep.k != wk) {
     // The Engine built this entry from the same module's weight tensor; a
-    // geometry mismatch means the map was wired against the wrong replica.
+    // geometry mismatch means the map was wired against the wrong network.
     throw std::logic_error("CompiledPlan: prepared layer is [" + std::to_string(prep.n) + ", " +
                            std::to_string(prep.k) + "], module wants [" + std::to_string(wn) +
                            ", " + std::to_string(wk) + "]");
   }
-  step.backend = &clado::backend::backend_for(prep.precision);
   step.prepared = &prep;
   const PlanBuffer& src = buffers_[static_cast<std::size_t>(step.in)];
   if (src.fq8) {
@@ -642,8 +642,8 @@ void CompiledPlan::run_conv_backend(PlanStep& step, std::int64_t n) {
     clado::quant::im2col_s8(img, step.in_shape[0], step.in_h, step.in_w, conv->kernel(),
                             conv->stride(), conv->padding(), oh, ow, step.in_zp,
                             step.q_cols.data());
-    step.backend->gemm(*step.prepared, positions, step.q_cols.data(), step.in_zp,
-                       step.q_acc.data());
+    clado::backend::integer_gemm(*step.prepared, positions, step.q_cols.data(), step.in_zp,
+                                 step.q_acc.data());
     clado::quant::requant_scatter(step.q_acc.data(), positions, out_c, rescale,
                                   conv->bias_data(), buf(step.out) + s * step.per_sample_out);
   }
@@ -652,7 +652,8 @@ void CompiledPlan::run_conv_backend(PlanStep& step, std::int64_t n) {
 void CompiledPlan::run_linear_backend(PlanStep& step, std::int64_t n) {
   quantize_step_input(step, n);
   const std::int64_t rows = n * step.rows_per_sample;
-  step.backend->gemm(*step.prepared, rows, step.q_in.data(), step.in_zp, step.q_acc.data());
+  clado::backend::integer_gemm(*step.prepared, rows, step.q_in.data(), step.in_zp,
+                               step.q_acc.data());
   clado::tensor::kernels::requant_s32_f32(clado::tensor::kernels::active_level(), rows,
                                           step.linear->out_features(), step.q_acc.data(),
                                           step.in_scale * step.prepared->w_scale,
@@ -662,7 +663,7 @@ void CompiledPlan::run_linear_backend(PlanStep& step, std::int64_t n) {
 void CompiledPlan::run_step(PlanStep& step, std::int64_t n) {
   switch (step.kind) {
     case StepKind::kConv:
-      if (step.backend != nullptr) {
+      if (step.prepared != nullptr) {
         run_conv_backend(step, n);
       } else {
         step.conv->forward_into(buf(step.in), n, step.in_h, step.in_w, buf(step.scratch),
@@ -670,7 +671,7 @@ void CompiledPlan::run_step(PlanStep& step, std::int64_t n) {
       }
       break;
     case StepKind::kLinear:
-      if (step.backend != nullptr) {
+      if (step.prepared != nullptr) {
         run_linear_backend(step, n);
       } else {
         step.linear->forward_into(buf(step.in), n * step.rows_per_sample, buf(step.out));

@@ -98,6 +98,9 @@ Server::Server(std::shared_ptr<Engine> engine, ServerConfig config)
   if (config_.best_effort_cap == 0) {
     config_.best_effort_cap = std::max<std::int64_t>(1, config_.queue_capacity * 3 / 4);
   }
+  // Every batch runs through the worker's plan in one call, so a batch
+  // never exceeds what the plan's arena holds.
+  config_.max_batch = std::min(config_.max_batch, engine_->plan_batch_capacity());
   if (engine_->replicas() < config_.workers) {
     throw std::invalid_argument(
         "Server: engine has " + std::to_string(engine_->replicas()) +
@@ -236,7 +239,7 @@ void Server::drain() {
 }
 
 void Server::worker_loop(int worker) {
-  // Lives across batches so the fused path reuses its capacity; only a
+  // Lives across batches so the plan reuses its capacity; only a
   // batch-size change reshapes it.
   Tensor logits;
   while (true) {
@@ -313,23 +316,15 @@ void Server::execute_batch(int worker, std::vector<Pending> batch, std::int64_t 
   {
     clado::obs::Span span("serve/batch");
     try {
+      // Stack straight into the plan's pinned batch buffer — no
+      // [N, C, H, W] tensor is ever materialized.
       float* pin = engine_->batch_buffer(worker);
-      if (pin != nullptr && n <= engine_->plan_batch_capacity()) {
-        // Fused engine: stack straight into the plan's pinned batch buffer
-        // — no [N, C, H, W] tensor is ever materialized.
-        const std::int64_t per_sample = live.front().input.numel();
-        for (std::int64_t i = 0; i < n; ++i) {
-          std::memcpy(pin + i * per_sample, live[static_cast<std::size_t>(i)].input.data(),
-                      sizeof(float) * static_cast<std::size_t>(per_sample));
-        }
-        engine_->infer_pinned(n, logits, worker);
-      } else {
-        std::vector<Tensor> inputs;
-        inputs.reserve(live.size());
-        for (const Pending& p : live) inputs.push_back(p.input);
-        const Tensor stacked = clado::tensor::stack_samples(inputs);
-        logits = engine_->infer(stacked, worker);
+      const std::int64_t per_sample = live.front().input.numel();
+      for (std::int64_t i = 0; i < n; ++i) {
+        std::memcpy(pin + i * per_sample, live[static_cast<std::size_t>(i)].input.data(),
+                    sizeof(float) * static_cast<std::size_t>(per_sample));
       }
+      engine_->infer_pinned(n, logits, worker);
     } catch (const std::exception& e) {
       error = e.what();
     }

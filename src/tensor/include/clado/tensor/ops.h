@@ -67,15 +67,9 @@ void axpy(float alpha, std::span<const float> x, std::span<float> y);
 /// Dot product with double accumulation.
 double dot(std::span<const float> x, std::span<const float> y);
 
-/// Stacks equal-shaped sample tensors into one batch: N samples of shape
-/// [d0, d1, ...] become [N, d0, d1, ...]. The serving micro-batcher uses
-/// this to coalesce queued single-sample requests into one batched forward.
-/// Throws std::invalid_argument when `samples` is empty or shapes differ.
-Tensor stack_samples(std::span<const Tensor> samples);
-
 /// Row `row` of a batch tensor with the leading axis removed: [N, d0, ...]
-/// -> [d0, ...]. Inverse of stack_samples for splitting batched outputs
-/// back into per-request results. Bounds-checked.
+/// -> [d0, ...], for splitting batched outputs back into per-request
+/// results. Bounds-checked.
 Tensor slice_row(const Tensor& batch, std::int64_t row);
 
 }  // namespace clado::tensor

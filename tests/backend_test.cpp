@@ -43,7 +43,6 @@ using clado::models::Model;
 using clado::serve::BackendMode;
 using clado::serve::Engine;
 using clado::serve::EngineSpec;
-using clado::serve::Fusion;
 using clado::tensor::Rng;
 using clado::tensor::Tensor;
 
@@ -115,26 +114,27 @@ TEST(PrepareLayer, BitsZeroStaysFp32AndSizeMismatchThrows) {
   EXPECT_THROW(backend::prepare_layer(wc, 2, 2), std::invalid_argument);
 }
 
-TEST(Backends, Int8GemmMatchesQuantReferenceAndFp32Throws) {
+TEST(Backends, IntegerGemmRunsTheKernelOfItsPrecision) {
   Rng rng(5);
   const std::int64_t rows = 3, n = 4, k = 17;
   std::vector<std::int8_t> codes(static_cast<std::size_t>(n * k));
+  std::vector<std::int8_t> codes4(static_cast<std::size_t>(n * k));
   std::vector<std::int8_t> in(static_cast<std::size_t>(rows * k));
   for (auto& c : codes) c = static_cast<std::int8_t>(static_cast<int>(rng.uniform_int(256)) - 128);
+  for (auto& c : codes4) c = static_cast<std::int8_t>(static_cast<int>(rng.uniform_int(16)) - 8);
   for (auto& c : in) c = static_cast<std::int8_t>(static_cast<int>(rng.uniform_int(256)) - 128);
-  backend::PreparedLayer prep =
-      backend::prepare_layer(make_codes(8, 1.0F, codes), n, k);
 
   std::vector<std::int32_t> got(static_cast<std::size_t>(rows * n));
   std::vector<std::int32_t> want(static_cast<std::size_t>(rows * n));
-  const backend::Backend& b8 = backend::backend_for(Precision::kInt8);
-  EXPECT_EQ(b8.precision(), Precision::kInt8);
-  b8.gemm(prep, rows, in.data(), /*za=*/-3, got.data());
+  const backend::PreparedLayer p8 = backend::prepare_layer(make_codes(8, 1.0F, codes), n, k);
+  backend::integer_gemm(p8, rows, in.data(), /*za=*/-3, got.data());
   clado::quant::gemm_s8s8_s32(rows, n, k, in.data(), -3, codes.data(), 0, want.data());
-  for (std::size_t i = 0; i < want.size(); ++i) ASSERT_EQ(got[i], want[i]) << i;
+  for (std::size_t i = 0; i < want.size(); ++i) ASSERT_EQ(got[i], want[i]) << "int8 " << i;
 
-  const backend::Backend& bf = backend::backend_for(Precision::kFp32);
-  EXPECT_THROW(bf.gemm(prep, rows, in.data(), 0, got.data()), std::logic_error);
+  const backend::PreparedLayer p4 = backend::prepare_layer(make_codes(4, 1.0F, codes4), n, k);
+  backend::integer_gemm(p4, rows, in.data(), /*za=*/-3, got.data());
+  clado::quant::gemm_s8s4_s32(rows, n, k, in.data(), -3, p4.w_s4.data(), 0, want.data());
+  for (std::size_t i = 0; i < want.size(); ++i) ASSERT_EQ(got[i], want[i]) << "int4 " << i;
 }
 
 // ---- latency table ----------------------------------------------------------
@@ -251,16 +251,8 @@ EngineSpec backend_spec(std::vector<int> bits, std::int64_t max_batch) {
   spec.bits = std::move(bits);
   spec.label = "backend";
   spec.max_batch = max_batch;
-  spec.fusion = Fusion::kOn;
   spec.backend = BackendMode::kOn;
   return spec;
-}
-
-TEST(BackendEngine, RequiresFusion) {
-  Model model = make_calibrated_resnet_a();
-  EngineSpec spec = backend_spec(mixed_bits(model.quant_layers.size()), 4);
-  spec.fusion = Fusion::kOff;
-  EXPECT_THROW(Engine(std::move(model), std::move(spec)), std::invalid_argument);
 }
 
 TEST(BackendEngine, EnvVarParsesStrictlyAndDefaultsOff) {
@@ -270,7 +262,6 @@ TEST(BackendEngine, EnvVarParsesStrictlyAndDefaultsOff) {
   {
     EngineSpec spec;
     spec.bits = std::vector<int>(model.quant_layers.size(), 8);
-    spec.fusion = Fusion::kOn;
     Engine engine(model.clone(), std::move(spec));
     EXPECT_FALSE(engine.backend_enabled());  // kAuto + unset = off
     EXPECT_TRUE(engine.prepared_layers().empty());
@@ -279,7 +270,6 @@ TEST(BackendEngine, EnvVarParsesStrictlyAndDefaultsOff) {
   {
     EngineSpec spec;
     spec.bits = std::vector<int>(model.quant_layers.size(), 8);
-    spec.fusion = Fusion::kOn;
     Engine engine(model.clone(), std::move(spec));
     EXPECT_TRUE(engine.backend_enabled());
   }
@@ -287,7 +277,6 @@ TEST(BackendEngine, EnvVarParsesStrictlyAndDefaultsOff) {
     // Explicit kOff wins over the env var.
     EngineSpec spec;
     spec.bits = std::vector<int>(model.quant_layers.size(), 8);
-    spec.fusion = Fusion::kOn;
     spec.backend = BackendMode::kOff;
     Engine engine(model.clone(), std::move(spec));
     EXPECT_FALSE(engine.backend_enabled());
@@ -296,7 +285,6 @@ TEST(BackendEngine, EnvVarParsesStrictlyAndDefaultsOff) {
   {
     EngineSpec spec;
     spec.bits = std::vector<int>(model.quant_layers.size(), 8);
-    spec.fusion = Fusion::kOn;
     EXPECT_THROW(Engine(model.clone(), std::move(spec)), std::invalid_argument);
   }
   ::unsetenv("CLADO_BACKEND");
@@ -311,7 +299,6 @@ TEST(BackendEngine, MixedAssignmentRunsEveryQuantLayerOnItsBackend) {
   Engine engine(std::move(model), backend_spec(bits, 4));
 
   ASSERT_TRUE(engine.backend_enabled());
-  ASSERT_TRUE(engine.fused());
   const auto& prepared = engine.prepared_layers();
   ASSERT_EQ(prepared.size(), layers);
   for (std::size_t i = 0; i < layers; ++i) {
@@ -368,7 +355,6 @@ TEST(BackendEngine, LogitsTrackFakeQuantSimulationWithinTolerance) {
   fake_spec.bits = bits;
   fake_spec.label = "fake-quant";
   fake_spec.max_batch = 4;
-  fake_spec.fusion = Fusion::kOn;
   fake_spec.backend = BackendMode::kOff;
   Engine fake(std::move(twin), std::move(fake_spec));
 
@@ -386,10 +372,10 @@ TEST(BackendEngine, LogitsTrackFakeQuantSimulationWithinTolerance) {
 }
 
 TEST(BackendEngine, ChunksOversizedBatchesThroughThePlan) {
-  // Backend engines never fall back to fake-quant for big batches; they
-  // chunk. Chunk boundaries are the only numeric seam (dynamic input
-  // quantization is per chunk), so infer(6) must equal the concatenation
-  // of infer on the same {2, 2, 2} partition.
+  // Batches beyond max_batch chunk through the plan. Chunk boundaries are
+  // the only numeric seam (dynamic input quantization is per chunk), so
+  // infer(6) must equal the concatenation of infer on the same {2, 2, 2}
+  // partition.
   Model model = make_calibrated_resnet_a();
   std::vector<int> bits = mixed_bits(model.quant_layers.size());
   Engine engine(std::move(model), backend_spec(std::move(bits), 2));

@@ -1,11 +1,11 @@
-// clado::serve::CompiledPlan coverage: fused-vs-eager bit-identity across
-// the whole model zoo (including activation-quantized engines), grouped /
-// strided / unpadded conv geometry, the liveness property of the arena
-// planner (live buffers never share storage), zero steady-state heap
-// allocation, and strict CLADO_FUSION parsing.
+// clado::serve::CompiledPlan coverage: bit-identity with the frozen eager
+// network (the oracle) across the whole model zoo (including
+// activation-quantized engines), grouped / strided / unpadded conv
+// geometry and chunked oversized batches, replica plans sharing one module
+// tree, the liveness property of the arena planner (live buffers never
+// share storage), and zero steady-state heap allocation.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -20,25 +20,39 @@
 #include "clado/serve/plan.h"
 #include "clado/tensor/rng.h"
 #include "clado/tensor/tensor.h"
+#include "test_models_util.h"
 
 namespace {
 
 using clado::models::Model;
 using clado::serve::Engine;
 using clado::serve::EngineSpec;
-using clado::serve::Fusion;
 using clado::serve::PlanBuffer;
 using clado::tensor::Rng;
 using clado::tensor::Tensor;
 
-/// Builds a calibrated zoo model and freezes it twice — once fused, once
-/// eager — from bit-identical clones.
-struct EnginePair {
-  std::unique_ptr<Engine> fused;
-  std::unique_ptr<Engine> eager;
+/// An engine and its oracle: the same model frozen by the Engine and by
+/// freeze_like_engine from bit-identical clones.
+struct EngineAndOracle {
+  std::unique_ptr<Engine> engine;
+  Model oracle;
 };
 
-EnginePair make_engines(const std::string& name, std::int64_t max_batch, int bits_value = 8) {
+EngineAndOracle freeze_both(Model model, std::vector<int> bits, std::int64_t max_batch,
+                          int replicas = 1) {
+  EngineAndOracle pair;
+  pair.oracle = clado::testing::freeze_like_engine(model.clone(), bits);
+  EngineSpec spec;
+  spec.bits = std::move(bits);
+  spec.max_batch = max_batch;
+  spec.replicas = replicas;
+  pair.engine = std::make_unique<Engine>(std::move(model), std::move(spec));
+  return pair;
+}
+
+/// A calibrated zoo model with every layer at `bits_value`.
+EngineAndOracle make_engines(const std::string& name, std::int64_t max_batch,
+                             int bits_value = 8) {
   Rng rng(202);
   Model model = clado::models::build_by_name(name, rng, /*num_classes=*/10);
 
@@ -47,61 +61,41 @@ EnginePair make_engines(const std::string& name, std::int64_t max_batch, int bit
   calib.images = Tensor::randn({4, model.channels, model.image_size, model.image_size}, data_rng);
   for (std::int64_t i = 0; i < 4; ++i) calib.labels.push_back(i % model.num_classes);
   model.calibrate_activations(calib);
-
-  Model twin = model.clone();
   std::vector<int> bits(model.quant_layers.size(), bits_value);
-
-  EnginePair pair;
-  EngineSpec fused_spec;
-  fused_spec.bits = bits;
-  fused_spec.label = "fused";
-  fused_spec.max_batch = max_batch;
-  fused_spec.fusion = Fusion::kOn;
-  pair.fused = std::make_unique<Engine>(std::move(model), std::move(fused_spec));
-
-  EngineSpec eager_spec;
-  eager_spec.bits = bits;
-  eager_spec.label = "eager";
-  eager_spec.max_batch = max_batch;
-  eager_spec.fusion = Fusion::kOff;
-  pair.eager = std::make_unique<Engine>(std::move(twin), std::move(eager_spec));
-  return pair;
+  return freeze_both(std::move(model), std::move(bits), max_batch);
 }
 
-void expect_bit_identical(Engine& fused, Engine& eager, std::int64_t n, std::uint64_t seed) {
+void expect_matches_oracle(EngineAndOracle& pair, std::int64_t n, std::uint64_t seed) {
   Rng rng(seed);
-  const auto& s = fused.sample_shape();
+  const auto& s = pair.engine->sample_shape();
   const Tensor batch = Tensor::randn({n, s[0], s[1], s[2]}, rng);
-  const Tensor a = fused.infer(batch);
-  const Tensor b = eager.infer(batch);
-  ASSERT_EQ(a.shape(), b.shape());
-  for (std::int64_t i = 0; i < a.numel(); ++i) {
-    ASSERT_EQ(a[i], b[i]) << "n=" << n << " logit " << i;
+  const Tensor got = pair.engine->infer(batch);
+  const Tensor want = pair.oracle.net->forward(batch);
+  ASSERT_EQ(got.shape(), want.shape());
+  for (std::int64_t i = 0; i < got.numel(); ++i) {
+    ASSERT_EQ(got[i], want[i]) << "n=" << n << " logit " << i;
   }
 }
 
-TEST(CompiledPlan, FusedMatchesEagerAcrossZoo) {
+TEST(CompiledPlan, MatchesFrozenOracleAcrossZoo) {
   for (const std::string& name : clado::models::model_names()) {
     SCOPED_TRACE(name);
-    EnginePair pair = make_engines(name, /*max_batch=*/4);
-    ASSERT_TRUE(pair.fused->fused());
-    ASSERT_FALSE(pair.eager->fused());
-    ASSERT_NE(pair.fused->plan(0), nullptr);
-    expect_bit_identical(*pair.fused, *pair.eager, /*n=*/3, /*seed=*/500);
-    expect_bit_identical(*pair.fused, *pair.eager, /*n=*/1, /*seed=*/501);
+    EngineAndOracle pair = make_engines(name, /*max_batch=*/4);
+    expect_matches_oracle(pair, /*n=*/3, /*seed=*/500);
+    expect_matches_oracle(pair, /*n=*/1, /*seed=*/501);
   }
 }
 
 TEST(CompiledPlan, CnnZooModelsCompileWithoutFallbacks) {
   for (const std::string name : {"resnet_a", "resnet_b"}) {
     SCOPED_TRACE(name);
-    EnginePair pair = make_engines(name, 2);
-    EXPECT_EQ(pair.fused->plan(0)->fallback_steps(), 0u)
+    EngineAndOracle pair = make_engines(name, 2);
+    EXPECT_EQ(pair.engine->plan(0)->fallback_steps(), 0u)
         << "the CNN path regressed into Module::forward staging";
   }
   // The transformer encoder is out of the compiler's vocabulary by design.
-  EnginePair vit = make_engines("vit_mini", 2);
-  EXPECT_GT(vit.fused->plan(0)->fallback_steps(), 0u);
+  EngineAndOracle vit = make_engines("vit_mini", 2);
+  EXPECT_GT(vit.engine->plan(0)->fallback_steps(), 0u);
 }
 
 /// Stride > 1, pad = 0 and grouped convolutions all change the im2col
@@ -127,48 +121,42 @@ Model make_geometry_model(Rng& rng) {
   return m;
 }
 
-EnginePair make_geometry_pair(std::int64_t max_batch) {
+EngineAndOracle make_geometry_pair(std::int64_t max_batch, int replicas = 1) {
   Rng rng(77);
-  Model model = make_geometry_model(rng);
-  Model twin = model.clone();
-  EnginePair pair;
-  EngineSpec on;
-  on.max_batch = max_batch;
-  on.fusion = Fusion::kOn;
-  pair.fused = std::make_unique<Engine>(std::move(model), std::move(on));
-  EngineSpec off;
-  off.max_batch = max_batch;
-  off.fusion = Fusion::kOff;
-  pair.eager = std::make_unique<Engine>(std::move(twin), std::move(off));
-  return pair;
+  return freeze_both(make_geometry_model(rng), {}, max_batch, replicas);
 }
 
-TEST(CompiledPlan, FusedMatchesEagerOnGroupedStridedUnpaddedConvs) {
-  EnginePair pair = make_geometry_pair(/*max_batch=*/5);
-  EXPECT_EQ(pair.fused->plan(0)->fallback_steps(), 0u);
-  expect_bit_identical(*pair.fused, *pair.eager, 5, 600);
-  expect_bit_identical(*pair.fused, *pair.eager, 1, 601);
+TEST(CompiledPlan, MatchesOracleOnGroupedStridedUnpaddedConvs) {
+  EngineAndOracle pair = make_geometry_pair(/*max_batch=*/5);
+  EXPECT_EQ(pair.engine->plan(0)->fallback_steps(), 0u);
+  expect_matches_oracle(pair, 5, 600);
+  expect_matches_oracle(pair, 1, 601);
 }
 
 TEST(CompiledPlan, PredictMatchesBatchedInference) {
-  EnginePair pair = make_geometry_pair(4);
+  EngineAndOracle pair = make_geometry_pair(4);
+  Engine& engine = *pair.engine;
   Rng rng(55);
   for (int i = 0; i < 3; ++i) {
     const Tensor sample = Tensor::randn({3, 16, 16}, rng);
     Tensor one = sample;
     one.reshape_inplace({1, 3, 16, 16});
-    const std::int64_t expected = pair.eager->infer(one).argmax();
-    EXPECT_EQ(pair.fused->predict(sample), expected);
-    EXPECT_EQ(pair.eager->predict(sample), expected);
-    EXPECT_EQ(pair.fused->predict(one), expected);  // [1, C, H, W] accepted too
+    const std::int64_t expected = pair.oracle.net->forward(one).argmax();
+    EXPECT_EQ(engine.predict(sample), expected);
+    EXPECT_EQ(engine.predict(one), expected);  // [1, C, H, W] accepted too
   }
+  // A batch of more than one sample has no single top-1 class; argmax over
+  // its flattened [N, classes] logits would return an index >= classes.
+  EXPECT_THROW(engine.predict(Tensor::randn({2, 3, 16, 16}, rng)), std::invalid_argument);
+  EXPECT_THROW(engine.predict(Tensor::randn({3, 8, 16}, rng)), std::invalid_argument);
+  EXPECT_THROW(engine.predict(Tensor::randn({3, 16}, rng)), std::invalid_argument);
 }
 
 TEST(CompiledPlan, LiveArenaBuffersNeverOverlap) {
   for (const std::string name : {"resnet_a", "mobilenet_v3_mini"}) {
     SCOPED_TRACE(name);
-    EnginePair pair = make_engines(name, 3);
-    const auto* plan = pair.fused->plan(0);
+    EngineAndOracle pair = make_engines(name, 3);
+    const auto* plan = pair.engine->plan(0);
     const std::vector<PlanBuffer>& bufs = plan->buffers();
     ASSERT_GT(bufs.size(), 1u);
     for (const PlanBuffer& b : bufs) {
@@ -197,8 +185,8 @@ TEST(CompiledPlan, SteadyStateRunsAreAllocationFree) {
     GTEST_SKIP() << "tensor allocation counting is compiled out of this build "
                     "(Release without CLADO_ENABLE_CHECKS); the sanitizer CI job enforces this";
   }
-  EnginePair pair = make_geometry_pair(/*max_batch=*/4);
-  Engine& engine = *pair.fused;
+  EngineAndOracle pair = make_geometry_pair(/*max_batch=*/4);
+  Engine& engine = *pair.engine;
   Rng rng(88);
   const Tensor batch = Tensor::randn({4, 3, 16, 16}, rng);
   float* pin = engine.batch_buffer(0);
@@ -213,44 +201,28 @@ TEST(CompiledPlan, SteadyStateRunsAreAllocationFree) {
       << "steady-state fused inference touched the heap";
 }
 
-TEST(CompiledPlan, FusionEnvParsesStrictly) {
-  Rng rng(99);
-  ASSERT_EQ(::setenv("CLADO_FUSION", "sideways", 1), 0);
-  EXPECT_THROW(Engine(make_geometry_model(rng), EngineSpec{}), std::invalid_argument);
-  ASSERT_EQ(::setenv("CLADO_FUSION", "off", 1), 0);
-  {
-    Engine engine(make_geometry_model(rng), EngineSpec{});
-    EXPECT_FALSE(engine.fused());
-    EXPECT_EQ(engine.plan_batch_capacity(), 0);
-    EXPECT_EQ(engine.batch_buffer(0), nullptr);
-    Tensor out;
-    EXPECT_THROW(engine.infer_pinned(1, out, 0), std::logic_error);
+TEST(CompiledPlan, ReplicaPlansShareOneNetworkAndAgree) {
+  EngineAndOracle pair = make_geometry_pair(/*max_batch=*/2, /*replicas=*/2);
+  Engine& engine = *pair.engine;
+  const auto& steps0 = engine.plan(0)->steps();
+  const auto& steps1 = engine.plan(1)->steps();
+  ASSERT_EQ(steps0.size(), steps1.size());
+  std::size_t convs = 0;
+  for (std::size_t i = 0; i < steps0.size(); ++i) {
+    EXPECT_EQ(steps0[i].conv, steps1[i].conv) << "step " << i << " reads a per-replica copy";
+    convs += steps0[i].conv != nullptr ? 1 : 0;
   }
-  ASSERT_EQ(::setenv("CLADO_FUSION", "1", 1), 0);
-  {
-    Engine engine(make_geometry_model(rng), EngineSpec{});
-    EXPECT_TRUE(engine.fused());
-  }
-  ::unsetenv("CLADO_FUSION");
-  Engine engine(make_geometry_model(rng), EngineSpec{});
-  EXPECT_TRUE(engine.fused()) << "unset CLADO_FUSION must default to fused";
-}
+  EXPECT_EQ(convs, 3u);
+  EXPECT_NE(engine.batch_buffer(0), engine.batch_buffer(1)) << "plans must not share an arena";
 
-TEST(CompiledPlan, ReplicaPlansAgree) {
-  Rng rng(121);
-  Model model = make_geometry_model(rng);
-  EngineSpec spec;
-  spec.replicas = 2;
-  spec.max_batch = 2;
-  spec.fusion = Fusion::kOn;
-  Engine engine(std::move(model), std::move(spec));
-  ASSERT_NE(engine.plan(1), nullptr);
   Rng data_rng(131);
   const Tensor batch = Tensor::randn({2, 3, 16, 16}, data_rng);
-  const Tensor a = engine.infer(batch, 0);
-  const Tensor b = engine.infer(batch, 1);
-  ASSERT_EQ(a.shape(), b.shape());
-  for (std::int64_t i = 0; i < a.numel(); ++i) EXPECT_EQ(a[i], b[i]);
+  const Tensor want = pair.oracle.net->forward(batch);
+  for (int r = 0; r < 2; ++r) {
+    const Tensor got = engine.infer(batch, r);
+    ASSERT_EQ(got.shape(), want.shape());
+    for (std::int64_t i = 0; i < got.numel(); ++i) EXPECT_EQ(got[i], want[i]) << "replica " << r;
+  }
 }
 
 /// Residual blocks whose main path (or shortcut) STARTS with an activation:
@@ -286,30 +258,20 @@ Model make_preact_residual_model(Rng& rng) {
   return m;
 }
 
-TEST(CompiledPlan, ActivationLeadingResidualBranchesMatchEager) {
+TEST(CompiledPlan, ActivationLeadingResidualBranchesMatchOracle) {
   Rng rng(161);
-  Model model = make_preact_residual_model(rng);
-  Model twin = model.clone();
-  EnginePair pair;
-  EngineSpec on;
-  on.max_batch = 3;
-  on.fusion = Fusion::kOn;
-  pair.fused = std::make_unique<Engine>(std::move(model), std::move(on));
-  EngineSpec off;
-  off.max_batch = 3;
-  off.fusion = Fusion::kOff;
-  pair.eager = std::make_unique<Engine>(std::move(twin), std::move(off));
+  EngineAndOracle pair = freeze_both(make_preact_residual_model(rng), {}, /*max_batch=*/3);
 
   // Both branch-leading activations must survive as standalone steps; fusing
   // either in place would corrupt the other branch's input.
   std::size_t standalone_acts = 0;
-  for (const auto& step : pair.fused->plan(0)->steps()) {
+  for (const auto& step : pair.engine->plan(0)->steps()) {
     standalone_acts += step.kind == clado::serve::StepKind::kAct ? 1 : 0;
   }
   EXPECT_EQ(standalone_acts, 2u);
-  EXPECT_EQ(pair.fused->plan(0)->fallback_steps(), 0u);
-  expect_bit_identical(*pair.fused, *pair.eager, 3, 700);
-  expect_bit_identical(*pair.fused, *pair.eager, 1, 701);
+  EXPECT_EQ(pair.engine->plan(0)->fallback_steps(), 0u);
+  expect_matches_oracle(pair, 3, 700);
+  expect_matches_oracle(pair, 1, 701);
 }
 
 TEST(CompiledPlan, SEBlockWithWeightTransformFallsBack) {
@@ -360,14 +322,13 @@ TEST(CompiledPlan, ResidualBranchShapeMismatchThrowsAtCompile) {
   EXPECT_THROW(clado::serve::CompiledPlan(net, {3, 8, 8}, 1), std::invalid_argument);
 }
 
-TEST(CompiledPlan, OversizedBatchFallsBackToEager) {
-  EnginePair pair = make_geometry_pair(/*max_batch=*/2);
-  Rng rng(141);
-  const Tensor batch = Tensor::randn({4, 3, 16, 16}, rng);  // > max_batch
-  const Tensor a = pair.fused->infer(batch);
-  const Tensor b = pair.eager->infer(batch);
-  ASSERT_EQ(a.shape(), b.shape());
-  for (std::int64_t i = 0; i < a.numel(); ++i) EXPECT_EQ(a[i], b[i]);
+TEST(CompiledPlan, OversizedBatchChunksThroughThePlan) {
+  // 5 samples through a 2-sample arena: chunks of 2, 2 and a partial 1.
+  EngineAndOracle pair = make_geometry_pair(/*max_batch=*/2);
+  expect_matches_oracle(pair, 5, 141);
+  // The zoo's transformer runs its fallback steps chunk by chunk too.
+  EngineAndOracle vit = make_engines("vit_mini", /*max_batch=*/2);
+  expect_matches_oracle(vit, 3, 142);
 }
 
 }  // namespace

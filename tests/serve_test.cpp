@@ -2,7 +2,9 @@
 // (max_batch / max_delay_us), admission control (overload, deadlines,
 // shutdown), drain semantics, batched-vs-single bit-identity, per-request
 // trace capture, the wire protocol, and a socket round trip. The
-// concurrency tests are the reason serve_test runs under TSan in CI.
+// concurrency tests — including two workers running the replica plans of
+// one shared vit_mini network — are the reason serve_test runs under TSan
+// in CI.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -15,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "clado/models/builders.h"
 #include "clado/obs/obs.h"
 #include "clado/serve/engine.h"
 #include "clado/serve/serve.h"
@@ -319,6 +322,48 @@ TEST(ServeServer, CapturesPerRequestTraces) {
   EXPECT_TRUE(saw_forward);
 }
 
+TEST(ServeServer, ConcurrentVitReplicasBitIdenticalToSolo) {
+  // Two workers run the two replica plans of one frozen vit_mini network
+  // at once. Its attention blocks are fallback steps that call the shared
+  // modules' forward(), which must write no module state in inference
+  // mode; any sharing shows up as a wrong logit here (and as a race under
+  // TSan).
+  Rng rng(211);
+  auto model = clado::models::build_by_name("vit_mini", rng, /*num_classes=*/10);
+  const auto shape = clado::tensor::Shape{model.channels, model.image_size, model.image_size};
+  EngineSpec spec;
+  spec.bits = std::vector<int>(model.quant_layers.size(), 8);
+  spec.replicas = 2;
+  spec.max_batch = 4;
+  auto engine = std::make_shared<Engine>(std::move(model), std::move(spec));
+
+  constexpr int kRequests = 16;
+  Rng data_rng(223);
+  std::vector<Tensor> samples;
+  std::vector<Tensor> solo;
+  for (int i = 0; i < kRequests; ++i) {
+    samples.push_back(Tensor::randn(shape, data_rng));
+    Tensor one = samples.back();
+    one.reshape_inplace({1, shape[0], shape[1], shape[2]});
+    solo.push_back(engine->infer(one));  // before the server's workers own the plans
+  }
+
+  // A queued backlog of four full batches: both workers pick one up at once.
+  Server server(engine, paused_config(/*workers=*/2, /*max_batch=*/4));
+  std::vector<std::future<Response>> futures;
+  for (const Tensor& sample : samples) futures.push_back(server.submit(sample));
+  server.resume();
+  for (int i = 0; i < kRequests; ++i) {
+    const Response r = futures[static_cast<std::size_t>(i)].get();
+    ASSERT_EQ(r.status, Status::kOk) << r.error;
+    const Tensor& want = solo[static_cast<std::size_t>(i)];
+    ASSERT_EQ(r.logits.numel(), want.numel());
+    for (std::int64_t k = 0; k < want.numel(); ++k) {
+      ASSERT_EQ(r.logits[k], want[k]) << "request " << i << " logit " << k;
+    }
+  }
+}
+
 TEST(ServeServer, ConcurrentClientsUnderLoad) {
   auto engine = make_engine({8, 8, 8, 8}, 2);
   ServerConfig cfg;
@@ -600,23 +645,16 @@ TEST(ServeServer, RequiresReplicaPerWorker) {
   EXPECT_THROW(Server(engine, cfg), std::invalid_argument);
 }
 
-TEST(ServeEngine, FusedAndEagerEnginesAgree) {
+TEST(ServeEngine, MatchesFrozenOracle) {
+  const std::vector<int> bits = {8, 8, 8, 8};
   Rng rng(7);
-  auto fused_model = clado::testing::make_tiny_model(rng);
-  Rng rng2(7);
-  auto eager_model = clado::testing::make_tiny_model(rng2);
-  EngineSpec on;
-  on.bits = {8, 8, 8, 8};
-  on.fusion = clado::serve::Fusion::kOn;
-  EngineSpec off = on;
-  off.fusion = clado::serve::Fusion::kOff;
-  Engine fused(std::move(fused_model), std::move(on));
-  Engine eager(std::move(eager_model), std::move(off));
+  auto oracle = clado::testing::freeze_like_engine(clado::testing::make_tiny_model(rng), bits);
+  const auto engine = make_engine(bits, 1, /*seed=*/7);
 
   Rng data_rng(15);
   const Tensor batch = Tensor::randn({4, 3, 8, 8}, data_rng);
-  const Tensor a = fused.infer(batch);
-  const Tensor b = eager.infer(batch);
+  const Tensor a = engine->infer(batch);
+  const Tensor b = oracle.net->forward(batch);
   ASSERT_EQ(a.shape(), b.shape());
   for (std::int64_t i = 0; i < a.numel(); ++i) EXPECT_EQ(a[i], b[i]);
 }
@@ -627,7 +665,6 @@ TEST(ServeEngine, SteadyStatePinnedPathIsAllocationFree) {
                     "the sanitizer CI job enforces the zero-alloc contract";
   }
   auto engine = make_engine({8, 8, 8, 8}, 1);
-  ASSERT_TRUE(engine->fused());
   const std::int64_t n = 4;
   Rng rng(19);
   const Tensor batch = Tensor::randn({n, 3, 8, 8}, rng);

@@ -292,28 +292,15 @@ TEST(Ops, DotAndAxpy) {
   EXPECT_EQ(b[2], 12.0F);
 }
 
-TEST(Ops, StackSamplesAndSliceRowRoundTrip) {
+TEST(Ops, SliceRowRoundTrip) {
   Rng rng(77);
-  std::vector<Tensor> samples;
-  for (int i = 0; i < 3; ++i) samples.push_back(Tensor::randn({2, 4, 4}, rng));
-  const Tensor batch = stack_samples(samples);
-  ASSERT_EQ(batch.shape(), (Shape{3, 2, 4, 4}));
+  const Tensor batch = Tensor::randn({3, 2, 4, 4}, rng);
+  const std::int64_t per_row = 2 * 4 * 4;
   for (std::int64_t n = 0; n < 3; ++n) {
     const Tensor row = slice_row(batch, n);
     ASSERT_EQ(row.shape(), (Shape{2, 4, 4}));
-    for (std::int64_t i = 0; i < row.numel(); ++i) {
-      EXPECT_EQ(row[i], samples[static_cast<std::size_t>(n)][i]);
-    }
+    for (std::int64_t i = 0; i < row.numel(); ++i) EXPECT_EQ(row[i], batch[n * per_row + i]);
   }
-}
-
-TEST(Ops, StackSamplesValidates) {
-  Rng rng(78);
-  EXPECT_THROW(stack_samples({}), std::invalid_argument);
-  std::vector<Tensor> mismatched;
-  mismatched.push_back(Tensor::randn({2, 4}, rng));
-  mismatched.push_back(Tensor::randn({2, 5}, rng));
-  EXPECT_THROW(stack_samples(mismatched), std::invalid_argument);
 }
 
 TEST(Ops, SliceRowValidates) {

@@ -1,15 +1,18 @@
 // Shared tiny-model fixtures for core-pipeline tests: small enough for
 // brute-force cross-checks, structured enough (residual block, multiple
-// stages) to exercise prefix caching and block masks.
+// stages) to exercise prefix caching and block masks. Also the serving
+// oracle: a model frozen the way serve::Engine freezes its network.
 #pragma once
 
 #include <memory>
+#include <vector>
 
 #include "clado/data/synthcv.h"
 #include "clado/models/model.h"
 #include "clado/nn/blocks.h"
 #include "clado/nn/layers.h"
 #include "clado/nn/loss.h"
+#include "clado/quant/freeze.h"
 #include "clado/tensor/rng.h"
 
 namespace clado::testing {
@@ -62,6 +65,17 @@ inline double full_loss(Model& m, const clado::data::Batch& batch) {
   clado::nn::CrossEntropyLoss criterion;
   m.net->set_training(false);
   return criterion.forward(m.net->forward(batch.images), batch.labels);
+}
+
+/// The serving oracle: freezes `model` exactly as serve::Engine freezes its
+/// network (eval mode, BatchNorm folded and weights baked by
+/// freeze_quantized, inference mode), so `net->forward` is the eager
+/// function every Engine plan must reproduce bit for bit.
+inline Model freeze_like_engine(Model model, const std::vector<int>& bits) {
+  model.net->set_training(false);
+  clado::quant::freeze_quantized(*model.net, model.quant_layers, bits, model.scheme);
+  model.net->set_inference(true);
+  return model;
 }
 
 }  // namespace clado::testing

@@ -152,30 +152,4 @@ const CompiledPlan* Engine::plan(int replica) const {
   return plans_[static_cast<std::size_t>(replica)].get();
 }
 
-std::shared_ptr<Engine> EngineRegistry::put(const std::string& key,
-                                            std::shared_ptr<Engine> engine) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  engines_[key] = engine;
-  return engine;
-}
-
-std::shared_ptr<Engine> EngineRegistry::get(const std::string& key) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = engines_.find(key);
-  return it == engines_.end() ? nullptr : it->second;
-}
-
-bool EngineRegistry::erase(const std::string& key) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return engines_.erase(key) > 0;
-}
-
-std::vector<std::string> EngineRegistry::keys() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::string> out;
-  out.reserve(engines_.size());
-  for (const auto& [key, engine] : engines_) out.push_back(key);
-  return out;
-}
-
 }  // namespace clado::serve

@@ -39,21 +39,24 @@ void Fleet::put(const std::string& name, std::vector<std::shared_ptr<Server>> re
   clado::obs::counter("serve.fleet.puts").add();
 }
 
+Fleet::Table::const_iterator Fleet::find_locked(const std::string& name) const
+    CLADO_REQUIRES(mutex_) {
+  if (name.empty()) return table_.size() == 1 ? table_.begin() : table_.end();
+  return table_.find(name);
+}
+
 std::optional<std::string> Fleet::resolve_name(const std::string& name) const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  if (name.empty()) {
-    if (table_.size() != 1) return std::nullopt;
-    return table_.begin()->first;
-  }
-  return table_.count(name) != 0 ? std::optional<std::string>(name) : std::nullopt;
+  const auto it = find_locked(name);
+  if (it == table_.end()) return std::nullopt;
+  return it->first;
 }
 
 std::shared_ptr<Server> Fleet::route(const std::string& name) const {
   std::vector<std::shared_ptr<Server>> replicas;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = name.empty() ? (table_.size() == 1 ? table_.begin() : table_.end())
-                                 : table_.find(name);
+    const auto it = find_locked(name);
     if (it == table_.end()) return nullptr;
     replicas = it->second;  // shared_ptr copies: depth probing happens off the lock
   }
@@ -114,7 +117,7 @@ std::size_t Fleet::replica_count(const std::string& name) const {
 }
 
 std::string Fleet::stats_text() const {
-  std::map<std::string, std::vector<std::shared_ptr<Server>>> snapshot;
+  Table snapshot;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     snapshot = table_;

@@ -12,9 +12,7 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -129,24 +127,6 @@ class Engine {
   Shape sample_shape_;
   double weight_bytes_ = 0.0;
   int batchnorms_folded_ = 0;
-};
-
-/// Named collection of loaded engines — the daemon's model table. Lookup
-/// returns shared ownership so an engine can be hot-swapped (re-registered
-/// under the same key) while in-flight servers keep the version they
-/// started with.
-class EngineRegistry {
- public:
-  /// Registers (or replaces) `engine` under `key`; returns the engine.
-  std::shared_ptr<Engine> put(const std::string& key, std::shared_ptr<Engine> engine);
-  /// nullptr when `key` is unknown.
-  std::shared_ptr<Engine> get(const std::string& key) const;
-  bool erase(const std::string& key);
-  std::vector<std::string> keys() const;
-
- private:
-  mutable std::mutex mutex_;
-  std::map<std::string, std::shared_ptr<Engine>> engines_;
 };
 
 }  // namespace clado::serve

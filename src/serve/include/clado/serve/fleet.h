@@ -1,9 +1,9 @@
 // clado::serve::Fleet — the daemon's model table: named engines, each
 // backed by N Server replicas with least-loaded dispatch.
 //
-// Where EngineRegistry (engine.h) maps names to frozen weight sets, Fleet
-// maps names to *running capacity*: a replica set of admission-controlled
-// Servers, each wrapping its own Engine. route() picks the replica with
+// Fleet maps names to *running capacity*: a replica set of
+// admission-controlled Servers, each wrapping its own Engine. It is the
+// only thing a SocketDaemon fronts. route() picks the replica with
 // the shallowest admission queue, so a replica wedged behind a slow batch
 // stops attracting new work while its siblings absorb the stream.
 //
@@ -68,8 +68,15 @@ class Fleet {
   std::string stats_text() const;
 
  private:
+  using Table = std::map<std::string, std::vector<std::shared_ptr<Server>>>;
+  /// The one place the "empty name means the sole model" rule lives:
+  /// table_.end() when `name` is unknown, or empty while several (or no)
+  /// models are loaded. Caller holds mutex_.
+  Table::const_iterator find_locked(const std::string& name) const
+      CLADO_REQUIRES(mutex_);
+
   mutable std::mutex mutex_;
-  std::map<std::string, std::vector<std::shared_ptr<Server>>> table_ CLADO_GUARDED_BY(mutex_);
+  Table table_ CLADO_GUARDED_BY(mutex_);
 };
 
 }  // namespace clado::serve

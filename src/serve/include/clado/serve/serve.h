@@ -95,11 +95,6 @@ struct ServerConfig {
   /// Admit requests but hold execution until resume(); lets tests and the
   /// batching bench enqueue a known backlog before the first batch forms.
   bool start_paused = false;
-
-  /// Defaults overridden by CLADO_SERVE_WORKERS / _MAX_BATCH /
-  /// _MAX_DELAY_US / _QUEUE_CAP / _BE_QUEUE_CAP (strict parsing; garbage
-  /// throws).
-  static ServerConfig from_env();
 };
 
 /// Order statistics over completed-request latencies.

@@ -58,10 +58,6 @@ struct DaemonOptions {
   /// Per-connection receive timeout; a connection idle (or stalled
   /// mid-frame) past this is dropped and counted in serve.read_timeouts.
   std::int64_t read_timeout_ms = 30'000;
-
-  /// Defaults overridden by CLADO_SERVE_TCP_PORT / _READ_TIMEOUT_MS
-  /// (strict parsing; garbage throws).
-  static DaemonOptions from_env();
 };
 
 /// Builds a fresh replica set for a hot-swap: `bits` per Engine semantics
@@ -76,9 +72,6 @@ class SocketDaemon {
   /// bind/listen failure, on a UDS path owned by a live daemon, or when no
   /// listener is configured. The fleet must outlive the daemon.
   SocketDaemon(Fleet& fleet, DaemonOptions options);
-  /// Single-server compatibility front end: serves `server` as the fleet's
-  /// only model (keyed by its engine's model name) over UDS only.
-  SocketDaemon(Server& server, std::string socket_path);
   /// Stops the accept loop (if still running) and removes the socket file.
   ~SocketDaemon();
   SocketDaemon(const SocketDaemon&) = delete;
@@ -111,7 +104,6 @@ class SocketDaemon {
   void close_listeners();
 
   Fleet* fleet_;
-  std::unique_ptr<Fleet> owned_fleet_;  ///< compatibility constructor only
   DaemonOptions options_;
   SwapFactory swap_factory_;
   int bound_tcp_port_ = -1;

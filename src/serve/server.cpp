@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "clado/obs/obs.h"
-#include "clado/tensor/env.h"
 #include "clado/tensor/ops.h"
 
 namespace clado::serve {
@@ -57,25 +56,6 @@ const char* deadline_class_name(DeadlineClass c) {
     case DeadlineClass::kBestEffort: return "best_effort";
   }
   return "unknown";
-}
-
-ServerConfig ServerConfig::from_env() {
-  using clado::tensor::env_int_strict;
-  ServerConfig c;
-  if (const auto v = env_int_strict("CLADO_SERVE_WORKERS", 1, 256)) {
-    c.workers = static_cast<int>(*v);
-  }
-  if (const auto v = env_int_strict("CLADO_SERVE_MAX_BATCH", 1, 4096)) c.max_batch = *v;
-  if (const auto v = env_int_strict("CLADO_SERVE_MAX_DELAY_US", 0, 60'000'000)) {
-    c.max_delay_us = *v;
-  }
-  if (const auto v = env_int_strict("CLADO_SERVE_QUEUE_CAP", 1, 1 << 20)) {
-    c.queue_capacity = *v;
-  }
-  if (const auto v = env_int_strict("CLADO_SERVE_BE_QUEUE_CAP", 1, 1 << 20)) {
-    c.best_effort_cap = *v;
-  }
-  return c;
 }
 
 Server::Server(std::shared_ptr<Engine> engine, ServerConfig config)

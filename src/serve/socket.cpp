@@ -18,7 +18,6 @@
 
 #include "clado/fault/fault.h"
 #include "clado/obs/obs.h"
-#include "clado/tensor/env.h"
 
 namespace clado::serve {
 
@@ -239,31 +238,8 @@ bool uds_alive(const std::string& path) {
 
 }  // namespace
 
-DaemonOptions DaemonOptions::from_env() {
-  using clado::tensor::env_int_strict;
-  DaemonOptions o;
-  if (const auto v = env_int_strict("CLADO_SERVE_TCP_PORT", 0, 65535)) {
-    o.tcp_port = static_cast<int>(*v);
-  }
-  if (const auto v = env_int_strict("CLADO_SERVE_READ_TIMEOUT_MS", 1, 600'000)) {
-    o.read_timeout_ms = *v;
-  }
-  return o;
-}
-
 SocketDaemon::SocketDaemon(Fleet& fleet, DaemonOptions options)
     : fleet_(&fleet), options_(std::move(options)) {
-  bind_listeners();
-}
-
-SocketDaemon::SocketDaemon(Server& server, std::string socket_path)
-    : owned_fleet_(std::make_unique<Fleet>()) {
-  fleet_ = owned_fleet_.get();
-  // Non-owning: the caller keeps ownership (and must outlive the daemon);
-  // the fleet only routes to it and drains it on shutdown.
-  owned_fleet_->put(server.engine().model_name(),
-                    {std::shared_ptr<Server>(&server, [](Server*) {})});
-  options_.socket_path = std::move(socket_path);
   bind_listeners();
 }
 

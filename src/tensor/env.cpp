@@ -2,26 +2,51 @@
 
 #include <cerrno>
 #include <cstdlib>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 
 namespace clado::tensor {
 
+std::int64_t parse_int_strict(const std::string& name, const std::string& text,
+                              std::int64_t min_value, std::int64_t max_value) {
+  errno = 0;
+  char* tail = nullptr;
+  const long long v = std::strtoll(text.c_str(), &tail, 10);
+  const bool parsed = !text.empty() && *tail == '\0' && errno != ERANGE;
+  if (!parsed || v < min_value || v > max_value) {
+    throw std::invalid_argument(name + "=\"" + text + "\" is not an integer in [" +
+                                std::to_string(min_value) + ", " +
+                                std::to_string(max_value) + "]");
+  }
+  return static_cast<std::int64_t>(v);
+}
+
+double parse_double_strict(const std::string& name, const std::string& text,
+                           double min_value, double max_value) {
+  errno = 0;
+  char* tail = nullptr;
+  const double v = std::strtod(text.c_str(), &tail);
+  const bool parsed = !text.empty() && *tail == '\0' && errno != ERANGE;
+  // Written so NaN fails the range test too.
+  if (!parsed || !(v >= min_value && v <= max_value)) {
+    std::ostringstream msg;
+    msg << name << "=\"" << text << "\" is not a number in [" << min_value << ", "
+        << max_value << "]";
+    throw std::invalid_argument(msg.str());
+  }
+  return v;
+}
+
 std::optional<std::int64_t> env_int_strict(const char* name, std::int64_t min_value,
                                            std::int64_t max_value) {
   const char* raw = std::getenv(name);
   if (raw == nullptr || raw[0] == '\0') return std::nullopt;
-
-  errno = 0;
-  char* tail = nullptr;
-  const long long v = std::strtoll(raw, &tail, 10);
-  const bool parsed = tail != raw && *tail == '\0' && errno != ERANGE;
-  if (!parsed || v < min_value || v > max_value) {
-    throw std::invalid_argument(std::string(name) + "=\"" + raw +
-                                "\" is not an integer in [" + std::to_string(min_value) + ", " +
-                                std::to_string(max_value) + "]; unset it to use the default");
+  try {
+    return parse_int_strict(name, raw, min_value, max_value);
+  } catch (const std::invalid_argument& e) {
+    throw std::invalid_argument(std::string(e.what()) + "; unset it to use the default");
   }
-  return static_cast<std::int64_t>(v);
 }
 
 std::optional<std::string> env_str(const char* name) {

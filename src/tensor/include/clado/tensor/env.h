@@ -1,11 +1,13 @@
-// Strict environment-variable parsing shared by every CLADO_* integer knob
-// (CLADO_NUM_THREADS, CLADO_BENCH_SCALE, ...).
+// Strict number parsing shared by every CLADO_* integer knob
+// (CLADO_NUM_THREADS, CLADO_BENCH_SCALE, ...) and every numeric
+// command-line flag of the tools.
 //
-// Policy: an unset or empty variable means "use the default" and returns
-// nullopt; anything else must parse completely as a base-10 integer inside
-// the caller's range, or the function throws. Silent fallback on garbage
-// (the old std::atoi pattern) hid typos like CLADO_BENCH_SCALE=3x, which
-// quietly ran a different experiment than the one asked for.
+// Policy: a value must parse completely as a base-10 number inside the
+// caller's range, or the parser throws. For env vars, an unset or empty
+// variable means "use the default" and returns nullopt. Silent fallback on
+// garbage (the old std::atoi pattern) hid typos like CLADO_BENCH_SCALE=3x
+// or --workers=two, which quietly ran a different experiment than the one
+// asked for.
 #pragma once
 
 #include <cstdint>
@@ -14,11 +16,20 @@
 
 namespace clado::tensor {
 
-/// Reads env var `name` as a strict base-10 integer in
-/// [min_value, max_value]. Unset or empty → nullopt. A value that does not
-/// parse completely, overflows, or falls outside the range →
-/// std::invalid_argument naming the variable, the offending text, and the
-/// accepted range.
+/// Parses `text` as a strict base-10 integer in [min_value, max_value].
+/// Text that does not parse completely, overflows, or falls outside the
+/// range → std::invalid_argument naming `name` (the env var or flag), the
+/// offending text, and the accepted range.
+std::int64_t parse_int_strict(const std::string& name, const std::string& text,
+                              std::int64_t min_value, std::int64_t max_value);
+
+/// parse_int_strict's floating-point twin: `text` must parse completely as
+/// a number in [min_value, max_value]; NaN is always rejected.
+double parse_double_strict(const std::string& name, const std::string& text,
+                           double min_value, double max_value);
+
+/// Reads env var `name` through parse_int_strict. Unset or empty → nullopt;
+/// any other value that parse_int_strict rejects throws.
 std::optional<std::int64_t> env_int_strict(const char* name, std::int64_t min_value,
                                            std::int64_t max_value);
 

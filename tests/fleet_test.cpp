@@ -1,13 +1,16 @@
 // Fleet-serving coverage: named-engine registry with replica sets,
 // least-loaded dispatch, mid-stream hot-swap bit-identity, swap fault
-// atomicity, stale-socket reclaim vs live-daemon conflict, and the TCP
-// listener. Runs under TSan in CI alongside serve_test: the daemon,
-// streamer, and swap paths here race on purpose.
+// atomicity, stale-socket reclaim vs live-daemon conflict, the TCP
+// listener, and the read timeout that drops a stalled peer. Runs under
+// TSan in CI alongside serve_test: the daemon, streamer, and swap paths
+// here race on purpose.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <memory>
 #include <stdexcept>
@@ -16,6 +19,7 @@
 #include <vector>
 
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -373,6 +377,50 @@ TEST(Fleet, TcpAndUdsListenersAnswerIdentically) {
   EXPECT_TRUE(clado::serve::shutdown_socket(tcp));
   daemon_thread.join();
   EXPECT_FALSE(clado::serve::ping_socket(tcp));
+}
+
+TEST(Fleet, StalledPeerIsDroppedAtTheReadTimeout) {
+  Fleet fleet;
+  fleet.put("tiny", replica_set({}, 1));
+  DaemonOptions dopts;
+  dopts.socket_path = temp_socket("clado_fleet_stall.sock");
+  dopts.read_timeout_ms = 200;
+  SocketDaemon daemon(fleet, dopts);
+  std::thread daemon_thread([&] { daemon.run(); });
+  ASSERT_TRUE(clado::serve::ping_socket(dopts.socket_path));
+
+  const auto timeouts = [] { return clado::obs::counter("serve.read_timeouts").value(); };
+  const std::int64_t before = timeouts();
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::snprintf(addr.sun_path, sizeof(addr.sun_path), "%s", dopts.socket_path.c_str());
+  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)), 0);
+  // Bound the client's own wait, so a daemon that never drops the peer
+  // fails the test instead of hanging it.
+  timeval tv{};
+  tv.tv_sec = 5;
+  ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv)), 0);
+
+  // Half of the 4-byte frame header, then silence.
+  const std::uint8_t half_header[2] = {16, 0};
+  const auto start = std::chrono::steady_clock::now();
+  ASSERT_EQ(::write(fd, half_header, sizeof(half_header)), 2);
+  char byte = 0;
+  const ssize_t got = ::recv(fd, &byte, 1, 0);
+  const auto waited = std::chrono::steady_clock::now() - start;
+  ::close(fd);
+
+  EXPECT_EQ(got, 0) << "expected EOF from the daemon, errno " << errno;
+  EXPECT_LT(waited, std::chrono::seconds(5));
+  EXPECT_GE(waited, std::chrono::milliseconds(100));
+  EXPECT_EQ(timeouts(), before + 1);
+  // The stalled peer cost one handler, never the acceptor.
+  EXPECT_TRUE(clado::serve::ping_socket(dopts.socket_path));
+
+  EXPECT_TRUE(clado::serve::shutdown_socket(dopts.socket_path));
+  daemon_thread.join();
 }
 
 TEST(Fleet, BadEndpointStringsThrow) {

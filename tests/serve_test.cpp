@@ -12,6 +12,7 @@
 #include <cstring>
 #include <filesystem>
 #include <future>
+#include <memory>
 #include <set>
 #include <string>
 #include <thread>
@@ -20,6 +21,7 @@
 #include "clado/models/builders.h"
 #include "clado/obs/obs.h"
 #include "clado/serve/engine.h"
+#include "clado/serve/fleet.h"
 #include "clado/serve/serve.h"
 #include "clado/serve/socket.h"
 #include "clado/serve/wire.h"
@@ -106,20 +108,6 @@ TEST(ServeEngine, ReplicasAgree) {
     ASSERT_EQ(a.shape(), b.shape());
     for (std::int64_t i = 0; i < a.numel(); ++i) EXPECT_EQ(a[i], b[i]) << "replica " << r;
   }
-}
-
-TEST(ServeRegistry, PutGetErase) {
-  clado::serve::EngineRegistry registry;
-  EXPECT_EQ(registry.get("int8"), nullptr);
-  auto engine = registry.put("int8", make_engine({8, 8, 8, 8}, 1));
-  EXPECT_EQ(registry.get("int8"), engine);
-  // Hot swap: old handle stays alive for holders, lookup sees the new one.
-  auto swapped = registry.put("int8", make_engine({2, 2, 2, 2}, 1));
-  EXPECT_EQ(registry.get("int8"), swapped);
-  EXPECT_NE(engine, swapped);
-  EXPECT_EQ(registry.keys().size(), 1u);
-  EXPECT_TRUE(registry.erase("int8"));
-  EXPECT_FALSE(registry.erase("int8"));
 }
 
 TEST(ServeServer, BatchedResultsBitIdenticalToSingle) {
@@ -276,12 +264,6 @@ TEST(ServeServer, BestEffortCapValidationAndAutoDefault) {
   ServerConfig bad = cfg;
   bad.best_effort_cap = bad.queue_capacity + 1;
   EXPECT_THROW(Server(make_engine({}, 1), bad), std::invalid_argument);
-
-  ASSERT_EQ(::setenv("CLADO_SERVE_BE_QUEUE_CAP", "7", 1), 0);
-  EXPECT_EQ(ServerConfig::from_env().best_effort_cap, 7);
-  ASSERT_EQ(::setenv("CLADO_SERVE_BE_QUEUE_CAP", "most", 1), 0);
-  EXPECT_THROW(ServerConfig::from_env(), std::invalid_argument);
-  ::unsetenv("CLADO_SERVE_BE_QUEUE_CAP");
 }
 
 TEST(ServeServer, InvalidShapeRejectedUpFront) {
@@ -597,11 +579,15 @@ TEST(ServeSocket, EndToEndQueryMatchesInProcess) {
   cfg.workers = 1;
   cfg.max_batch = 4;
   cfg.max_delay_us = 200;
-  Server server(served, cfg);
+  const auto server = std::make_shared<Server>(served, cfg);
+  clado::serve::Fleet fleet;
+  fleet.put(served->model_name(), {server});
 
-  const std::string path =
+  clado::serve::DaemonOptions dopts;
+  dopts.socket_path =
       (std::filesystem::temp_directory_path() / "clado_serve_test.sock").string();
-  clado::serve::SocketDaemon daemon(server, path);
+  const std::string& path = dopts.socket_path;
+  clado::serve::SocketDaemon daemon(fleet, dopts);
   std::thread daemon_thread([&] { daemon.run(); });
 
   ASSERT_TRUE(clado::serve::ping_socket(path));
@@ -623,19 +609,7 @@ TEST(ServeSocket, EndToEndQueryMatchesInProcess) {
   EXPECT_TRUE(clado::serve::shutdown_socket(path));
   daemon_thread.join();
   EXPECT_FALSE(clado::serve::ping_socket(path));
-  EXPECT_EQ(server.submit(Tensor({3, 8, 8})).get().status, Status::kShutdown);
-}
-
-TEST(ServeConfig, FromEnvParsesStrictly) {
-  ASSERT_EQ(::setenv("CLADO_SERVE_MAX_BATCH", "16", 1), 0);
-  ASSERT_EQ(::setenv("CLADO_SERVE_WORKERS", "3", 1), 0);
-  ServerConfig cfg = ServerConfig::from_env();
-  EXPECT_EQ(cfg.max_batch, 16);
-  EXPECT_EQ(cfg.workers, 3);
-  ASSERT_EQ(::setenv("CLADO_SERVE_MAX_BATCH", "lots", 1), 0);
-  EXPECT_THROW(ServerConfig::from_env(), std::invalid_argument);
-  ::unsetenv("CLADO_SERVE_MAX_BATCH");
-  ::unsetenv("CLADO_SERVE_WORKERS");
+  EXPECT_EQ(server->submit(Tensor({3, 8, 8})).get().status, Status::kShutdown);
 }
 
 TEST(ServeServer, RequiresReplicaPerWorker) {

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <stdexcept>
+#include <string>
 
 #include "clado/tensor/check.h"
+#include "clado/tensor/env.h"
 #include "clado/tensor/ops.h"
 
 namespace clado::tensor {
@@ -310,6 +313,38 @@ TEST(Ops, SliceRowValidates) {
   EXPECT_THROW(slice_row(batch, 2), std::invalid_argument);
   const Tensor scalar(Shape{});
   EXPECT_THROW(slice_row(scalar, 0), std::invalid_argument);
+}
+
+// The error text must name the flag (or env var) and the bad value: the
+// command-line tools print it verbatim and exit.
+std::string strict_error(const std::function<void()>& parse) {
+  try {
+    parse();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "<no throw>";
+}
+
+TEST(Env, StrictParsersAcceptOnlyWholeInRangeNumbers) {
+  EXPECT_EQ(parse_int_strict("--workers", "3", 1, 256), 3);
+  EXPECT_EQ(parse_int_strict("--tcp-port", "0", 0, 65535), 0);
+  EXPECT_EQ(parse_double_strict("--frac", "0.375", 0.0, 1.0), 0.375);
+  EXPECT_EQ(parse_double_strict("--best-effort", "1", 0.0, 1.0), 1.0);
+
+  for (const char* bad : {"two", "80x", "", "3.5", "0x10", "99999999999999999999"}) {
+    const std::string err = strict_error([&] { parse_int_strict("--workers", bad, 1, 256); });
+    EXPECT_NE(err.find(std::string("--workers=\"") + bad + "\""), std::string::npos) << err;
+  }
+  EXPECT_THROW(parse_int_strict("--workers", "0", 1, 256), std::invalid_argument);
+  EXPECT_THROW(parse_int_strict("--workers", "257", 1, 256), std::invalid_argument);
+
+  for (const char* bad : {"half", "0.5x", "", "nan", "inf", "1.5", "-0.1"}) {
+    const std::string err =
+        strict_error([&] { parse_double_strict("--best-effort", bad, 0.0, 1.0); });
+    EXPECT_NE(err.find(std::string("--best-effort=\"") + bad + "\""), std::string::npos)
+        << err;
+  }
 }
 
 }  // namespace

@@ -14,21 +14,21 @@
 //                       query: endpoint — "/path.sock" | "unix:/path" |
 //                       "tcp:<port>" | "tcp:<host>:<port>"
 //   --tcp-port=<n>      also listen on 127.0.0.1:<n> (0 = ephemeral;
-//                       default CLADO_SERVE_TCP_PORT or off)
+//                       default off)
 //   --replicas=<n>      Server replicas per model for least-loaded
 //                       dispatch (default 1)
 //   --fp32              serve the fp32 models (skip assignment + PTQ)
-//   --workers=<n>       serving workers / engine replicas (default env or 2)
-//   --max-batch=<n>     micro-batch cap (default env or 8)
-//   --max-delay-us=<n>  batching window (default env or 2000)
-//   --queue-cap=<n>     admission bound (default env or 256)
+//   --workers=<n>       serving workers / engine replicas (default 2)
+//   --max-batch=<n>     micro-batch cap (default 8)
+//   --max-delay-us=<n>  batching window (default 2000)
+//   --queue-cap=<n>     admission bound (default 256)
 //   --index=<n>         (query) first val-sample index (default 0)
 //   --count=<n>         (query) number of samples to send (default 16)
 //   --deadline-us=<n>   (query) per-request queueing budget (default none)
 //   --model=<name>      (query) fleet routing key (default: the sole model)
 //   --best-effort       (query) send as kBestEffort (shed first on overload)
 //   --retries=<n>       (query) retries on REJECTED_OVERLOAD with capped
-//                       exponential backoff (default CLADO_QUERY_RETRIES or 0)
+//                       exponential backoff (default 0)
 //   --stats             (query) print the daemon's fleet stats and exit
 //   --swap-bits=<csv>   (query) hot-swap --model to these per-layer bits
 //   --swap-fp32         (query) hot-swap --model to the fp32 engine
@@ -47,10 +47,15 @@
 //                     requires --latency-table
 //   --latency-table=<p>  per-layer per-precision latency artifact written
 //                     by bench_backend for the same model
+//
+// The command line is the only configuration source. Every numeric flag
+// is parsed strictly: a value that does not parse in full or falls outside
+// its range names the flag on stderr and exits 2 before any model loads.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <memory>
 #include <stdexcept>
@@ -93,23 +98,20 @@ struct Options {
                            // latency-budgeted solve
   std::string latency_table;
   // serving
-  std::string socket_path = "clado.sock";
+  clado::serve::ServerConfig server;
+  /// serve: the listeners; query: socket_path is the endpoint to dial.
+  clado::serve::DaemonOptions daemon{"clado.sock"};
   bool fp32 = false;
-  int workers = 0;            // 0 = ServerConfig default / env
-  std::int64_t max_batch = 0;
-  std::int64_t max_delay_us = -1;
-  std::int64_t queue_cap = 0;
   std::int64_t deadline_us = 0;
   std::int64_t index = 0;
   std::int64_t count = 16;
-  int tcp_port = -2;          // -2 = DaemonOptions default / env
   std::int64_t fleet_replicas = 1;
   std::string query_model;
   bool best_effort = false;
   bool stats = false;
   bool swap_fp32 = false;
-  std::string swap_bits;      // csv of per-layer bits
-  std::int64_t retries = -1;  // -1 = CLADO_QUERY_RETRIES / 0
+  std::vector<int> swap_bits;
+  std::int64_t retries = 0;
 };
 
 int usage() {
@@ -139,22 +141,49 @@ bool parse_algorithm(const std::string& name, Algorithm& out) {
   return true;
 }
 
-bool parse(int argc, char** argv, Options& opts) {
-  if (argc < 2) return false;
-  opts.command = argv[1];
+std::vector<std::string> split_csv(const std::string& text) {
+  std::vector<std::string> out;
+  std::size_t start = 0;
+  while (start <= text.size()) {
+    const std::size_t comma = text.find(',', start);
+    const std::string piece =
+        text.substr(start, comma == std::string::npos ? std::string::npos : comma - start);
+    if (!piece.empty()) out.push_back(piece);
+    if (comma == std::string::npos) break;
+    start = comma + 1;
+  }
+  return out;
+}
+
+/// Strict value of a matched "--flag=value" argument; a bad value throws
+/// std::invalid_argument naming the flag.
+std::int64_t int_flag(const std::string& arg, std::int64_t min_value, std::int64_t max_value) {
+  const std::size_t eq = arg.find('=');
+  return clado::tensor::parse_int_strict(arg.substr(0, eq), arg.substr(eq + 1), min_value,
+                                         max_value);
+}
+
+double double_flag(const std::string& arg, double min_value, double max_value) {
+  const std::size_t eq = arg.find('=');
+  return clado::tensor::parse_double_strict(arg.substr(0, eq), arg.substr(eq + 1), min_value,
+                                            max_value);
+}
+
+bool parse_flags(int argc, char** argv, Options& opts) {
   int positional = 0;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--alg=", 0) == 0) {
       if (!parse_algorithm(arg.substr(6), opts.algorithm)) return false;
     } else if (arg.rfind("--frac=", 0) == 0) {
-      opts.frac = std::atof(arg.c_str() + 7);
+      opts.frac = double_flag(arg, 1e-6, 1.0);
     } else if (arg.rfind("--set-size=", 0) == 0) {
-      opts.set_size = std::atol(arg.c_str() + 11);
+      opts.set_size = int_flag(arg, 1, 4096);
     } else if (arg.rfind("--seed=", 0) == 0) {
-      opts.seed = std::strtoull(arg.c_str() + 7, nullptr, 10);
+      opts.seed = static_cast<std::uint64_t>(
+          int_flag(arg, 0, std::numeric_limits<std::int64_t>::max()));
     } else if (arg.rfind("--val=", 0) == 0) {
-      opts.val_count = std::atol(arg.c_str() + 6);
+      opts.val_count = int_flag(arg, 1, 1 << 20);
     } else if (arg == "--no-psd") {
       opts.psd = false;
     } else if (arg.rfind("--save-sens=", 0) == 0) {
@@ -162,35 +191,31 @@ bool parse(int argc, char** argv, Options& opts) {
     } else if (arg.rfind("--load-sens=", 0) == 0) {
       opts.load_sens = arg.substr(12);
     } else if (arg.rfind("--budget-ms=", 0) == 0) {
-      opts.budget_ms = std::atof(arg.c_str() + 12);
-      if (opts.budget_ms <= 0.0) {
-        std::fprintf(stderr, "--budget-ms must be a positive millisecond count\n");
-        return false;
-      }
+      opts.budget_ms = double_flag(arg, 1e-6, 1e6);
     } else if (arg.rfind("--latency-table=", 0) == 0) {
       opts.latency_table = arg.substr(16);
     } else if (arg.rfind("--socket=", 0) == 0) {
-      opts.socket_path = arg.substr(9);
+      opts.daemon.socket_path = arg.substr(9);
     } else if (arg == "--fp32") {
       opts.fp32 = true;
     } else if (arg.rfind("--workers=", 0) == 0) {
-      opts.workers = std::atoi(arg.c_str() + 10);
+      opts.server.workers = static_cast<int>(int_flag(arg, 1, 256));
     } else if (arg.rfind("--max-batch=", 0) == 0) {
-      opts.max_batch = std::atol(arg.c_str() + 12);
+      opts.server.max_batch = int_flag(arg, 1, 4096);
     } else if (arg.rfind("--max-delay-us=", 0) == 0) {
-      opts.max_delay_us = std::atol(arg.c_str() + 15);
+      opts.server.max_delay_us = int_flag(arg, 0, 60'000'000);
     } else if (arg.rfind("--queue-cap=", 0) == 0) {
-      opts.queue_cap = std::atol(arg.c_str() + 12);
+      opts.server.queue_capacity = int_flag(arg, 1, 1 << 20);
     } else if (arg.rfind("--index=", 0) == 0) {
-      opts.index = std::atol(arg.c_str() + 8);
+      opts.index = int_flag(arg, 0, 1LL << 40);
     } else if (arg.rfind("--count=", 0) == 0) {
-      opts.count = std::atol(arg.c_str() + 8);
+      opts.count = int_flag(arg, 0, 1 << 20);
     } else if (arg.rfind("--deadline-us=", 0) == 0) {
-      opts.deadline_us = std::atol(arg.c_str() + 14);
+      opts.deadline_us = int_flag(arg, 0, 3'600'000'000LL);
     } else if (arg.rfind("--tcp-port=", 0) == 0) {
-      opts.tcp_port = std::atoi(arg.c_str() + 11);
+      opts.daemon.tcp_port = static_cast<int>(int_flag(arg, 0, 65535));
     } else if (arg.rfind("--replicas=", 0) == 0) {
-      opts.fleet_replicas = std::atol(arg.c_str() + 11);
+      opts.fleet_replicas = int_flag(arg, 1, 256);
     } else if (arg.rfind("--model=", 0) == 0) {
       opts.query_model = arg.substr(8);
     } else if (arg == "--best-effort") {
@@ -198,9 +223,13 @@ bool parse(int argc, char** argv, Options& opts) {
     } else if (arg == "--stats") {
       opts.stats = true;
     } else if (arg.rfind("--retries=", 0) == 0) {
-      opts.retries = std::atol(arg.c_str() + 10);
+      opts.retries = int_flag(arg, 0, 1000);
     } else if (arg.rfind("--swap-bits=", 0) == 0) {
-      opts.swap_bits = arg.substr(12);
+      opts.swap_bits.clear();
+      for (const std::string& piece : split_csv(arg.substr(12))) {
+        opts.swap_bits.push_back(
+            static_cast<int>(clado::tensor::parse_int_strict("--swap-bits", piece, 1, 32)));
+      }
     } else if (arg == "--swap-fp32") {
       opts.swap_fp32 = true;
     } else if (arg.rfind("--", 0) == 0) {
@@ -213,6 +242,17 @@ bool parse(int argc, char** argv, Options& opts) {
     }
   }
   return true;
+}
+
+bool parse(int argc, char** argv, Options& opts) {
+  if (argc < 2) return false;
+  opts.command = argv[1];
+  try {
+    return parse_flags(argc, argv, opts);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return false;
+  }
 }
 
 // Size budget from --frac, or the measured-latency budget when --budget-ms
@@ -278,37 +318,10 @@ void print_assignment(const clado::models::Model& model,
   table.print();
 }
 
-clado::serve::ServerConfig server_config(const Options& opts) {
-  clado::serve::ServerConfig cfg = clado::serve::ServerConfig::from_env();
-  if (opts.workers > 0) cfg.workers = opts.workers;
-  if (opts.max_batch > 0) cfg.max_batch = opts.max_batch;
-  if (opts.max_delay_us >= 0) cfg.max_delay_us = opts.max_delay_us;
-  if (opts.queue_cap > 0) cfg.queue_capacity = opts.queue_cap;
-  return cfg;
-}
-
-std::vector<std::string> split_csv(const std::string& text) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    const std::size_t comma = text.find(',', start);
-    const std::string piece =
-        text.substr(start, comma == std::string::npos ? std::string::npos : comma - start);
-    if (!piece.empty()) out.push_back(piece);
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return out;
-}
-
 int run_serve(const Options& opts) {
   const std::vector<std::string> names = split_csv(opts.model);
   if (names.empty()) return usage();
-  const clado::serve::ServerConfig cfg = server_config(opts);
-  if (opts.fleet_replicas < 1) {
-    std::fprintf(stderr, "--replicas must be >= 1\n");
-    return 2;
-  }
+  const clado::serve::ServerConfig& cfg = opts.server;
 
   // Master weights stay resident (and activation-calibrated) for the
   // daemon's lifetime: every hot-swap re-freezes from them, so a swapped
@@ -359,10 +372,7 @@ int run_serve(const Options& opts) {
     fleet.put(name, make_replica_set(name, start_bits[name], start_labels[name]));
   }
 
-  clado::serve::DaemonOptions dopts = clado::serve::DaemonOptions::from_env();
-  dopts.socket_path = opts.socket_path;
-  if (opts.tcp_port >= -1) dopts.tcp_port = opts.tcp_port;
-  clado::serve::SocketDaemon daemon(fleet, dopts);
+  clado::serve::SocketDaemon daemon(fleet, opts.daemon);
   daemon.set_swap_factory([make_replica_set](const std::string& name,
                                              const std::vector<int>& bits) {
     return make_replica_set(name, bits,
@@ -380,7 +390,8 @@ int run_serve(const Options& opts) {
               static_cast<long long>(opts.fleet_replicas), cfg.workers,
               static_cast<long long>(cfg.max_batch),
               static_cast<long long>(cfg.max_delay_us));
-  std::printf("stop with: clado query --socket=%s --count=0\n", opts.socket_path.c_str());
+  std::printf("stop with: clado query --socket=%s --count=0\n",
+              opts.daemon.socket_path.c_str());
   std::fflush(stdout);
   daemon.run();
 
@@ -399,14 +410,14 @@ int run_serve(const Options& opts) {
 /// including transport errors, which throw — are returned as-is: retrying
 /// only helps when the daemon itself said "try again later".
 clado::serve::WireResponse query_with_retries(const Options& opts,
-                                              const clado::tensor::Tensor& sample,
-                                              std::int64_t retries) {
+                                              const clado::tensor::Tensor& sample) {
   const auto klass = opts.best_effort ? clado::serve::DeadlineClass::kBestEffort
                                       : clado::serve::DeadlineClass::kInteractive;
+  std::int64_t retries = opts.retries;
   std::int64_t backoff_ms = 2;
   while (true) {
-    const auto resp = clado::serve::query_socket(opts.socket_path, sample, opts.deadline_us,
-                                                 opts.query_model, klass);
+    const auto resp = clado::serve::query_socket(opts.daemon.socket_path, sample,
+                                                 opts.deadline_us, opts.query_model, klass);
     if (resp.status != clado::serve::Status::kRejectedOverload || retries <= 0) return resp;
     --retries;
     clado::obs::counter("query.overload_retries").add();
@@ -417,35 +428,28 @@ clado::serve::WireResponse query_with_retries(const Options& opts,
 
 int run_query(const Options& opts) {
   if (opts.stats) {
-    std::printf("%s", clado::serve::stats_socket(opts.socket_path).c_str());
+    std::printf("%s", clado::serve::stats_socket(opts.daemon.socket_path).c_str());
     return 0;
   }
   if (opts.swap_fp32 || !opts.swap_bits.empty()) {
-    std::vector<int> bits;
-    for (const std::string& piece : split_csv(opts.swap_bits)) {
-      bits.push_back(std::atoi(piece.c_str()));
-    }
-    const auto resp = clado::serve::swap_socket(opts.socket_path, opts.query_model, bits);
+    const auto resp =
+        clado::serve::swap_socket(opts.daemon.socket_path, opts.query_model, opts.swap_bits);
     const bool ok = resp.status == clado::serve::Status::kOk;
-    std::printf("swap %s: %s %s\n", opts.socket_path.c_str(),
+    std::printf("swap %s: %s %s\n", opts.daemon.socket_path.c_str(),
                 clado::serve::status_name(resp.status),
                 ok ? resp.stats.c_str() : resp.error.c_str());
     return ok ? 0 : 1;
   }
   if (opts.count <= 0) {
-    const bool ok = clado::serve::shutdown_socket(opts.socket_path);
-    std::printf("shutdown %s: %s\n", opts.socket_path.c_str(), ok ? "acknowledged" : "failed");
+    const bool ok = clado::serve::shutdown_socket(opts.daemon.socket_path);
+    std::printf("shutdown %s: %s\n", opts.daemon.socket_path.c_str(),
+                ok ? "acknowledged" : "failed");
     return ok ? 0 : 1;
   }
-  if (!clado::serve::ping_socket(opts.socket_path)) {
+  if (!clado::serve::ping_socket(opts.daemon.socket_path)) {
     std::fprintf(stderr, "no daemon answering on %s (start one with: clado serve <model>)\n",
-                 opts.socket_path.c_str());
+                 opts.daemon.socket_path.c_str());
     return 1;
-  }
-  std::int64_t retries = opts.retries;
-  if (retries < 0) {
-    retries =
-        clado::tensor::env_int_strict("CLADO_QUERY_RETRIES", 0, 1000).value_or(0);
   }
   // Samples are procedural: regenerating the daemon's val split needs only
   // the shared seed, never the trained weights.
@@ -454,7 +458,7 @@ int run_query(const Options& opts) {
   std::int64_t ok = 0;
   std::int64_t correct = 0;
   for (std::int64_t i = opts.index; i < opts.index + opts.count; ++i) {
-    const auto resp = query_with_retries(opts, val.image_of(i), retries);
+    const auto resp = query_with_retries(opts, val.image_of(i));
     const std::int64_t label = val.label_of(i);
     if (resp.status == clado::serve::Status::kOk) {
       ++ok;

@@ -15,6 +15,9 @@
 //   --deadline-us=<n>  per-request queueing budget (default none)
 //   --model=<name>     fleet routing key (default: the daemon's sole model)
 //
+// Numeric flags are parsed strictly: a value that does not parse in full or
+// falls outside its range names the flag on stderr and exits 2.
+//
 // Determinism: request i's deadline class and sample index are pure
 // functions of (seed, i) — NOT of which client happens to send it — so the
 // per-class sent counts are reproducible even though closed-loop clients
@@ -31,11 +34,12 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <exception>
+#include <limits>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -46,6 +50,7 @@
 #include "clado/serve/serve.h"
 #include "clado/serve/socket.h"
 #include "clado/serve/wire.h"
+#include "clado/tensor/env.h"
 
 namespace {
 
@@ -69,21 +74,31 @@ int usage() {
   return 2;
 }
 
-bool parse(int argc, char** argv, Options& opts) {
+/// Strict value of a matched "--flag=value" argument; a bad value throws
+/// std::invalid_argument naming the flag.
+std::int64_t int_flag(const std::string& arg, std::int64_t min_value, std::int64_t max_value) {
+  const std::size_t eq = arg.find('=');
+  return clado::tensor::parse_int_strict(arg.substr(0, eq), arg.substr(eq + 1), min_value,
+                                         max_value);
+}
+
+bool parse_flags(int argc, char** argv, Options& opts) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--endpoint=", 0) == 0) {
       opts.endpoint = arg.substr(11);
     } else if (arg.rfind("--requests=", 0) == 0) {
-      opts.requests = std::atol(arg.c_str() + 11);
+      opts.requests = int_flag(arg, 1, 1LL << 40);
     } else if (arg.rfind("--clients=", 0) == 0) {
-      opts.clients = std::atol(arg.c_str() + 10);
+      opts.clients = int_flag(arg, 1, 1024);
     } else if (arg.rfind("--seed=", 0) == 0) {
-      opts.seed = std::strtoull(arg.c_str() + 7, nullptr, 10);
+      opts.seed = static_cast<std::uint64_t>(
+          int_flag(arg, 0, std::numeric_limits<std::int64_t>::max()));
     } else if (arg.rfind("--best-effort=", 0) == 0) {
-      opts.best_effort = std::atof(arg.c_str() + 14);
+      opts.best_effort =
+          clado::tensor::parse_double_strict("--best-effort", arg.substr(14), 0.0, 1.0);
     } else if (arg.rfind("--deadline-us=", 0) == 0) {
-      opts.deadline_us = std::atol(arg.c_str() + 14);
+      opts.deadline_us = int_flag(arg, 0, 3'600'000'000LL);
     } else if (arg.rfind("--model=", 0) == 0) {
       opts.model = arg.substr(8);
     } else {
@@ -91,8 +106,16 @@ bool parse(int argc, char** argv, Options& opts) {
       return false;
     }
   }
-  return !opts.endpoint.empty() && opts.requests >= 1 && opts.clients >= 1 &&
-         opts.best_effort >= 0.0 && opts.best_effort <= 1.0;
+  return !opts.endpoint.empty();
+}
+
+bool parse(int argc, char** argv, Options& opts) {
+  try {
+    return parse_flags(argc, argv, opts);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return false;
+  }
 }
 
 /// splitmix64: request properties are a hash of (seed, index), never of

@@ -77,7 +77,16 @@ class SensitivityEngine {
   /// The model must already be activation-calibrated if activation
   /// quantization is desired (the paper quantizes activations to 8 bits
   /// for every algorithm). The batch is the sensitivity set.
-  SensitivityEngine(Model& model, Batch batch);
+  ///
+  /// `num_workers` sizes the engine's replica pool, which runs every
+  /// per-(layer, bit) phase of Algorithm 1: the weight quantization here,
+  /// the single-layer losses, and the off-diagonal sweep. 0 resolves via
+  /// tensor::ThreadPool (CLADO_NUM_THREADS / hardware). Worker 0 is the
+  /// primary model; every further worker runs on a Model::clone() replica
+  /// made on first use and kept for the engine's lifetime, so one worker
+  /// clones nothing. The clean pass stays serial: it builds the
+  /// activation cache the replicas copy.
+  SensitivityEngine(Model& model, Batch batch, int num_workers = 0);
 
   /// L(w): clean loss on the sensitivity set.
   double base_loss() const { return base_loss_; }
@@ -86,6 +95,12 @@ class SensitivityEngine {
   const Tensor& delta(std::int64_t layer, std::int64_t bit_index) const;
 
   /// Single-layer losses L(w + Δw_m^(i)) for all (i, m): [I][|B|].
+  /// Measured once, on first use, as (i, m) tasks the engine's workers
+  /// claim from one counter. A task perturbs only w^(i) on its own model
+  /// and re-runs from the clean cached input, so every loss is
+  /// bit-identical to a one-worker measurement. A failed measurement
+  /// propagates after every worker stops, leaves the primary weights
+  /// intact and the singles unmeasured (the next call measures again).
   const std::vector<std::vector<double>>& single_losses();
 
   /// Layer-specific sensitivities Ω_ii (the diagonal of Ĝ): [I][|B|].
@@ -96,11 +111,11 @@ class SensitivityEngine {
   /// every 256 pair measurements and at completion; after an internally
   /// retried failure `done` may regress to the last committed row.
   ///
-  /// `num_threads` > 1 sweeps disjoint layer rows i concurrently, one
-  /// Model::clone() replica per worker; 0 resolves via
-  /// tensor::ThreadPool (CLADO_NUM_THREADS / hardware). Every Ĝ entry is
+  /// Workers claim disjoint layer rows i on the engine's replica pool;
+  /// `num_threads` > 0 overrides the engine's worker count for this call
+  /// (the pool grows replicas as needed), 0 uses it. Every Ĝ entry is
   /// written exactly once by the worker owning its row with the same
-  /// Eq. (13) arithmetic as the serial sweep, so the result is
+  /// Eq. (13) arithmetic at any worker count, so the result is
   /// bit-identical at any thread count.
   ///
   /// Fault tolerance: a non-finite measured loss is re-measured once (the
@@ -153,8 +168,16 @@ class SensitivityEngine {
   double eval_loss(Model& model, SensitivityStats& stats, std::size_t stage,
                    const Tensor& input, std::vector<Tensor>* record) const;
 
-  /// Loss of the primary model (marks its layer stashes dirty).
-  double loss_from(std::size_t stage, const Tensor& input, std::vector<Tensor>* record);
+  /// Runs body(model, stats) once per worker, concurrently, each worker
+  /// inside a `worker_span` span: worker 0 on the primary model, worker
+  /// t > 0 on replicas_[t − 1] (cloned here when missing). A body's
+  /// failure is caught in the worker instead of thrown through the pool,
+  /// so no pool retry can re-enter a body and skip the task it had
+  /// claimed; the other workers drain the remaining tasks. Per-worker
+  /// counters are merged into stats_ whether or not the run failed; the
+  /// first failure (or a pool-level one) is then rethrown.
+  void on_replicas(int workers, const char* worker_span,
+                   const std::function<void(Model&, SensitivityStats&)>& body);
 
   /// Off-diagonal sweep worker: claims rows i from `next_row`, skips rows
   /// the sink already holds (resume / retry passes), measures all pairs
@@ -170,6 +193,8 @@ class SensitivityEngine {
 
   Model& model_;
   Batch batch_;
+  int workers_ = 1;
+  std::vector<Model> replicas_;  // clones of the clean primary, one per worker beyond the first
   double base_loss_ = 0.0;
   std::vector<std::vector<Tensor>> quantized_;  // [I][|B|] quantized weights Q(w, b)
   std::vector<std::vector<Tensor>> deltas_;     // [I][|B|] Q(w, b) − w

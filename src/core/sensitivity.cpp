@@ -24,6 +24,12 @@ namespace clado::core {
 
 namespace {
 
+// Workers for a phase of `tasks` independent tasks: no more than the
+// tasks, and at least one (a phase runs on the primary model alone).
+int pool_width(std::int64_t requested, std::int64_t tasks) {
+  return static_cast<int>(std::max<std::int64_t>(1, std::min(requested, tasks)));
+}
+
 // Pair-measurement count between progress callbacks.
 constexpr std::int64_t kProgressStride = 256;
 
@@ -193,27 +199,36 @@ struct SensitivityEngine::SweepSink {
   }
 };
 
-SensitivityEngine::SensitivityEngine(Model& model, Batch batch)
-    : model_(model), batch_(std::move(batch)) {
+SensitivityEngine::SensitivityEngine(Model& model, Batch batch, int num_workers)
+    : model_(model),
+      batch_(std::move(batch)),
+      workers_(num_workers > 0 ? num_workers : clado::tensor::ThreadPool::global().num_threads()) {
   clado::obs::Span span("sensitivity/clean_pass");
   model_.net->set_training(false);
 
-  // Precompute quantized weights and deltas for every (layer, bit).
+  // Quantized weights and deltas for every (layer, bit). Each
+  // quantize_weight is a pure function of one layer's weight and writes
+  // only its own (i, m) slot, so the slots fill in parallel.
   const std::int64_t layers = model_.num_quant_layers();
   const std::int64_t bits = num_bits();
-  quantized_.resize(static_cast<std::size_t>(layers));
-  deltas_.resize(static_cast<std::size_t>(layers));
-  for (std::int64_t i = 0; i < layers; ++i) {
-    const Tensor& w = model_.quant_layers[static_cast<std::size_t>(i)].layer->weight_param().value;
-    for (std::int64_t m = 0; m < bits; ++m) {
-      Tensor qw = clado::quant::quantize_weight(w, model_.candidate_bits[static_cast<std::size_t>(m)],
-                                                model_.scheme);
+  const std::int64_t tasks = layers * bits;
+  quantized_.assign(static_cast<std::size_t>(layers),
+                    std::vector<Tensor>(static_cast<std::size_t>(bits)));
+  deltas_.assign(static_cast<std::size_t>(layers),
+                 std::vector<Tensor>(static_cast<std::size_t>(bits)));
+  clado::tensor::ThreadPool pool(pool_width(workers_, tasks));
+  pool.parallel_for(0, tasks, 1, [&](std::int64_t begin, std::int64_t end) {
+    for (std::int64_t t = begin; t < end; ++t) {
+      const auto i = static_cast<std::size_t>(t / bits);
+      const auto m = static_cast<std::size_t>(t % bits);
+      const Tensor& w = model_.quant_layers[i].layer->weight_param().value;
+      Tensor qw = clado::quant::quantize_weight(w, model_.candidate_bits[m], model_.scheme);
       Tensor delta = qw;
       delta -= w;
-      quantized_[static_cast<std::size_t>(i)].push_back(std::move(qw));
-      deltas_[static_cast<std::size_t>(i)].push_back(std::move(delta));
+      quantized_[i][m] = std::move(qw);
+      deltas_[i][m] = std::move(delta);
     }
-  }
+  });
 
   // Clean pass: caches every stage input and the final output, and leaves
   // every layer's input stash consistent with the clean weights.
@@ -259,10 +274,43 @@ double SensitivityEngine::eval_loss(Model& model, SensitivityStats& stats, std::
   }
 }
 
-double SensitivityEngine::loss_from(std::size_t stage, const Tensor& input,
-                                    std::vector<Tensor>* record) {
-  stashes_clean_ = false;
-  return eval_loss(model_, stats_, stage, input, record);
+void SensitivityEngine::on_replicas(
+    int workers, const char* worker_span,
+    const std::function<void(Model&, SensitivityStats&)>& body) {
+  // Replicas are cloned from the primary only between phases, when every
+  // weight guard has unwound: each copy carries the clean weights AND the
+  // clean activation cache, so no replica needs a clean pass of its own.
+  while (static_cast<int>(replicas_.size()) < workers - 1) replicas_.push_back(model_.clone());
+  stashes_clean_ = false;  // worker 0 perturbs the primary
+
+  std::vector<SensitivityStats> worker_stats(static_cast<std::size_t>(workers));
+  std::exception_ptr error;
+  std::mutex error_mutex;
+  // One worker is one chunk, which the pool runs inline on this thread.
+  clado::tensor::ThreadPool pool(workers);
+  try {
+    pool.parallel_for(0, workers, 1, [&](std::int64_t t, std::int64_t) {
+      const clado::obs::Span span(worker_span);
+      Model& model = t == 0 ? model_ : replicas_[static_cast<std::size_t>(t - 1)];
+      try {
+        body(model, worker_stats[static_cast<std::size_t>(t)]);
+      } catch (...) {
+        const std::lock_guard<std::mutex> lock(error_mutex);
+        if (!error) error = std::current_exception();
+      }
+    });
+  } catch (...) {
+    // Only pool-level failures (e.g. a twice-injected pool_task fault)
+    // arrive here; body failures were recorded above.
+    error = std::current_exception();
+  }
+  // The forwards happened whether or not the run survived.
+  for (const auto& ws : worker_stats) {
+    stats_.forward_measurements += ws.forward_measurements;
+    stats_.stage_executions += ws.stage_executions;
+    stats_.stage_executions_naive += ws.stage_executions_naive;
+  }
+  if (error) std::rethrow_exception(error);
 }
 
 void SensitivityEngine::ensure_single_losses() {
@@ -270,19 +318,29 @@ void SensitivityEngine::ensure_single_losses() {
   clado::obs::Span span("sensitivity/singles");
   const std::int64_t layers = model_.num_quant_layers();
   const std::int64_t bits = num_bits();
+  const std::int64_t tasks = layers * bits;
   single_losses_.assign(static_cast<std::size_t>(layers),
                         std::vector<double>(static_cast<std::size_t>(bits), 0.0));
-  for (std::int64_t i = 0; i < layers; ++i) {
-    auto& ref = model_.quant_layers[static_cast<std::size_t>(i)];
-    auto& w = ref.layer->weight_param().value;
-    const WeightRestoreGuard guard(w);
-    const auto stage = static_cast<std::size_t>(ref.stage);
-    for (std::int64_t m = 0; m < bits; ++m) {
-      w = quantized_[static_cast<std::size_t>(i)][static_cast<std::size_t>(m)];
-      single_losses_[static_cast<std::size_t>(i)][static_cast<std::size_t>(m)] =
-          loss_from(stage, model_.net->cached_input(stage), nullptr);
-    }
-  }
+  // Each (i, m) task perturbs only w^(i) on the claiming worker's model
+  // and re-runs from that model's clean cached input, so its loss does not
+  // depend on which worker measures it or in what order.
+  std::atomic<std::int64_t> next_task{0};
+  on_replicas(pool_width(workers_, tasks), "sensitivity/singles_worker",
+              [&](Model& model, SensitivityStats& stats) {
+                for (;;) {
+                  const std::int64_t t = next_task.fetch_add(1, std::memory_order_relaxed);
+                  if (t >= tasks) return;
+                  const auto i = static_cast<std::size_t>(t / bits);
+                  const auto m = static_cast<std::size_t>(t % bits);
+                  auto& ref = model.quant_layers[i];
+                  auto& w = ref.layer->weight_param().value;
+                  const WeightRestoreGuard guard(w);
+                  w = quantized_[i][m];
+                  const auto stage = static_cast<std::size_t>(ref.stage);
+                  single_losses_[i][m] =
+                      eval_loss(model, stats, stage, model.net->cached_input(stage), nullptr);
+                }
+              });
   singles_done_ = true;
   stats_.seconds += span.close();
 }
@@ -404,13 +462,10 @@ Tensor SensitivityEngine::full_matrix(
 
   const std::int64_t total_pairs = layers * (layers - 1) / 2 * bits * bits;
 
-  const std::int64_t resolved =
-      num_threads > 0 ? num_threads : clado::tensor::ThreadPool::global().num_threads();
-  const auto workers = static_cast<int>(std::min<std::int64_t>(resolved, layers));
+  const int workers = pool_width(num_threads > 0 ? num_threads : workers_, layers);
 
-  // Progress shared across passes; used by serial and parallel sweeps
-  // alike (one uncontended lock per j-loop boundary is noise next to a
-  // forward pass).
+  // Progress shared across passes and workers (one uncontended lock per
+  // j-loop boundary is noise next to a forward pass).
   std::atomic<std::int64_t> done_pairs{sink.committed_pairs()};
   std::atomic<bool> cancelled{false};
   std::mutex progress_mutex;
@@ -446,56 +501,10 @@ Tensor SensitivityEngine::full_matrix(
   for (int pass = 0; !sink.complete(); ++pass) {
     std::atomic<std::int64_t> next_row{0};
     try {
-      if (workers <= 1) {
-        // Serial sweep on the primary model.
-        stashes_clean_ = false;
-        const clado::obs::Span worker_span("sensitivity/sweep_worker");
-        sweep_rows(model_, stats_, sink, next_row, report);
-      } else {
-        // Parallel sweep: one model replica per worker, each claiming
-        // whole rows i. A replica carries a deep copy of the weights AND
-        // the clean activation cache, so no additional clean pass is
-        // needed and per-entry arithmetic is identical to the serial
-        // sweep. The primary model is never touched.
-        std::vector<Model> replicas;
-        replicas.reserve(static_cast<std::size_t>(workers));
-        for (int t = 0; t < workers; ++t) replicas.push_back(model_.clone());
-        std::vector<SensitivityStats> worker_stats(static_cast<std::size_t>(workers));
-
-        clado::tensor::ThreadPool pool(workers);
-        std::exception_ptr pass_error;
-        std::mutex body_error_mutex;
-        try {
-          // The worker body catches its own failures instead of throwing
-          // through the pool: the pool's chunk retry would re-enter
-          // sweep_rows, which claims *new* rows from next_row — the
-          // interrupted row would be silently dropped and the pass would
-          // look clean. Catching here also lets the surviving workers
-          // drain every remaining row before the pass fails.
-          pool.parallel_for(0, workers, 1, [&](std::int64_t t, std::int64_t) {
-            const clado::obs::Span worker_span("sensitivity/sweep_worker");
-            try {
-              sweep_rows(replicas[static_cast<std::size_t>(t)],
-                         worker_stats[static_cast<std::size_t>(t)], sink, next_row, report);
-            } catch (...) {
-              const std::lock_guard<std::mutex> lock(body_error_mutex);
-              if (!pass_error) pass_error = std::current_exception();
-            }
-          });
-        } catch (...) {
-          // Only pool-level failures (e.g. a twice-injected pool_task
-          // fault) arrive here; worker failures were recorded above.
-          pass_error = std::current_exception();
-        }
-        // Merge measurement accounting whether or not the pass survived —
-        // the forwards happened either way.
-        for (const auto& ws : worker_stats) {
-          stats_.forward_measurements += ws.forward_measurements;
-          stats_.stage_executions += ws.stage_executions;
-          stats_.stage_executions_naive += ws.stage_executions_naive;
-        }
-        if (pass_error) std::rethrow_exception(pass_error);
-      }
+      on_replicas(workers, "sensitivity/sweep_worker",
+                  [&](Model& model, SensitivityStats& stats) {
+                    sweep_rows(model, stats, sink, next_row, report);
+                  });
     } catch (const std::exception&) {
       if (cancelled.load(std::memory_order_relaxed) || pass + 1 >= kMaxSweepPasses) {
         sink.save_now();

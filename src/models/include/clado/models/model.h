@@ -45,8 +45,8 @@ struct Model {
   /// Deep copy: clones the module tree (weights, buffers, activation-quant
   /// calibration, and cached activations included) and re-derives
   /// quant_layers / act_quants against the copy, preserving layer order.
-  /// The parallel sensitivity sweep runs one clone per worker so replicas
-  /// can mutate weights and caches independently.
+  /// The sensitivity engine runs one clone per worker beyond the first so
+  /// replicas can mutate weights and caches independently.
   Model clone() const;
 
   /// Mean loss of the network on a batch (eval mode, no caching).

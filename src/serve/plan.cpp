@@ -107,8 +107,11 @@ std::string CompiledPlan::dump() const {
   std::string out;
   for (std::size_t i = 0; i < steps_.size(); ++i) {
     const PlanStep& step = steps_[i];
-    out += "#" + std::to_string(i) + " " + step_kind_name(step.kind) + " " +
-           shape_str(step.in_shape) + " -> " + shape_str(step.out_shape);
+    // Appended piecewise: GCC 12 reports a false -Wrestrict on the
+    // equivalent chain of `std::string operator+` temporaries.
+    out.append("#").append(std::to_string(i)).append(" ").append(step_kind_name(step.kind));
+    out.append(" ").append(shape_str(step.in_shape));
+    out.append(" -> ").append(shape_str(step.out_shape));
     if (step.kind == StepKind::kConv || step.kind == StepKind::kLinear) {
       out += " backend=";
       out += step.prepared != nullptr ? clado::backend::precision_name(step.prepared->precision)

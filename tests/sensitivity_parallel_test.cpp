@@ -1,4 +1,5 @@
-// Bit-identicality of the parallel sensitivity sweep, Model::clone deep
+// Bit-identicality of the engine's replica pool (weight quantization,
+// single-layer losses and the off-diagonal sweep), Model::clone deep
 // copies, and exception safety of the weight-mutation sites.
 #include "clado/core/sensitivity.h"
 
@@ -6,6 +7,7 @@
 
 #include <stdexcept>
 
+#include "clado/fault/fault.h"
 #include "clado/models/builders.h"
 #include "clado/nn/blocks.h"
 #include "clado/nn/layers.h"
@@ -157,6 +159,102 @@ TEST(ParallelSweep, ThrowingProgressLeavesWeightsIntact) {
     EXPECT_GT(g.numel(), 0);
     expect_weights_equal(m, before);
   }
+}
+
+void expect_same_stats(const SensitivityStats& got, const SensitivityStats& want) {
+  EXPECT_EQ(got.forward_measurements, want.forward_measurements);
+  EXPECT_EQ(got.stage_executions, want.stage_executions);
+  EXPECT_EQ(got.stage_executions_naive, want.stage_executions_naive);
+}
+
+TEST(ParallelSingles, BitIdenticalAtAnyWorkerCount) {
+  // Reference: one worker, the primary model alone.
+  Rng rng_ref(30);
+  Model m_ref = make_tiny_model(rng_ref);
+  SensitivityEngine serial(m_ref, make_batch(rng_ref), 1);
+  const auto singles_ref = serial.single_losses();
+  const SensitivityStats stats_ref = serial.stats();
+  const Tensor g_ref = serial.full_matrix();
+
+  // 64 workers exceed the 8 (i, m) tasks and the 4 sweep rows.
+  for (int workers : {1, 2, 4, 7, 64}) {
+    SCOPED_TRACE(workers);
+    Rng rng(30);
+    Model m = make_tiny_model(rng);
+    const auto before = weight_snapshot(m);
+    SensitivityEngine engine(m, make_batch(rng), workers);
+    for (std::int64_t i = 0; i < engine.num_layers(); ++i) {
+      for (std::int64_t b = 0; b < engine.num_bits(); ++b) {
+        const Tensor& d = engine.delta(i, b);
+        const Tensor& d_ref = serial.delta(i, b);
+        ASSERT_EQ(d.numel(), d_ref.numel());
+        for (std::int64_t k = 0; k < d.numel(); ++k) ASSERT_EQ(d[k], d_ref[k]);
+      }
+    }
+
+    // Exact double equality: the same forwards in any order and on any
+    // replica give the same bits.
+    EXPECT_EQ(engine.single_losses(), singles_ref);
+    expect_same_stats(engine.stats(), stats_ref);
+    expect_weights_equal(m, before);
+
+    // The sweep reuses the same pool without the per-call override.
+    const Tensor g = engine.full_matrix();
+    for (std::int64_t k = 0; k < g_ref.numel(); ++k) ASSERT_EQ(g[k], g_ref[k]);
+    expect_same_stats(engine.stats(), serial.stats());
+    expect_weights_equal(m, before);
+  }
+}
+
+// The fault registry is process-global: every test here starts and ends
+// disarmed.
+class ParallelSinglesFault : public ::testing::Test {
+ protected:
+  void SetUp() override { clado::fault::disarm_all(); }
+  void TearDown() override { clado::fault::disarm_all(); }
+};
+
+TEST_F(ParallelSinglesFault, PersistentNanPropagatesAndLeavesSinglesUnmeasured) {
+  Rng rng_ref(31);
+  Model m_ref = make_tiny_model(rng_ref);
+  SensitivityEngine serial(m_ref, make_batch(rng_ref), 1);
+  const auto singles_ref = serial.single_losses();
+
+  Rng rng(31);
+  Model m = make_tiny_model(rng);
+  const auto before = weight_snapshot(m);
+  SensitivityEngine engine(m, make_batch(rng), 4);
+  clado::fault::arm_from(clado::fault::Site::kNanLoss, 1);
+  EXPECT_THROW(engine.single_losses(), std::runtime_error);
+  clado::fault::disarm_all();
+  expect_weights_equal(m, before);
+
+  // Singles were not marked done: the next call measures all of them
+  // again, on the same (restored) replicas, and gets the serial values.
+  const std::int64_t forwards_before = engine.stats().forward_measurements;
+  EXPECT_EQ(engine.single_losses(), singles_ref);
+  EXPECT_EQ(engine.stats().forward_measurements - forwards_before,
+            engine.num_layers() * engine.num_bits());
+  expect_weights_equal(m, before);
+}
+
+TEST_F(ParallelSinglesFault, OneShotPoolFaultLosesNoMeasurement) {
+  Rng rng_ref(32);
+  Model m_ref = make_tiny_model(rng_ref);
+  SensitivityEngine serial(m_ref, make_batch(rng_ref), 1);
+  const auto singles_ref = serial.single_losses();
+
+  Rng rng(32);
+  Model m = make_tiny_model(rng);
+  SensitivityEngine engine(m, make_batch(rng), 4);
+  // Every worker's chunk crosses the pool_task site before its body runs,
+  // so the first hit after arming is a singles-phase chunk; the pool
+  // retries it and the worker still drains its share of the tasks.
+  clado::fault::arm_one_shot(clado::fault::Site::kPoolTask, 1);
+  EXPECT_EQ(engine.single_losses(), singles_ref);
+  EXPECT_EQ(clado::fault::injected_count(clado::fault::Site::kPoolTask), 1U);
+  // One measurement per (i, m) task: none lost, none repeated.
+  expect_same_stats(engine.stats(), serial.stats());
 }
 
 TEST(ModelClone, ForwardBitIdenticalAcrossZoo) {

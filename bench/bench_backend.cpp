@@ -23,7 +23,7 @@
 
 #include "bench_common.h"
 #include "bench_latency.h"
-#include "clado/backend/latency.h"
+#include "clado/core/algorithms.h"
 #include "clado/models/builders.h"
 #include "clado/obs/obs.h"
 #include "clado/quant/int4.h"
@@ -99,12 +99,12 @@ void bench_model_latency(const std::string& name) {
   std::printf("\n=== %s: per-layer latency by execution precision ===\n", name.c_str());
   std::printf("  %-24s %5s %5s %5s  %9s  %9s  %9s  %6s  %6s\n", "layer", "m", "n", "k",
               "fp32 ms", "int8 ms", "int4 ms", "i8/f32", "i4/i8");
-  double sums[clado::backend::kNumPrecisions] = {0.0, 0.0, 0.0};
+  double sums[clado::quant::kNumPrecisions] = {0.0, 0.0, 0.0};
   for (std::size_t i = 0; i < shapes.size(); ++i) {
     const auto& s = shapes[i];
-    const double f32 = table.at(i, clado::backend::Precision::kFp32);
-    const double i8 = table.at(i, clado::backend::Precision::kInt8);
-    const double i4 = table.at(i, clado::backend::Precision::kInt4);
+    const double f32 = table.at(i, clado::quant::Precision::kFp32);
+    const double i8 = table.at(i, clado::quant::Precision::kInt8);
+    const double i4 = table.at(i, clado::quant::Precision::kInt4);
     sums[0] += f32;
     sums[1] += i8;
     sums[2] += i4;
@@ -118,7 +118,7 @@ void bench_model_latency(const std::string& name) {
 
   std::filesystem::create_directories("bench_results");
   const std::string path = "bench_results/latency_" + name + ".bin";
-  clado::backend::save_latency_table(table, path);
+  clado::core::save_latency_table(table, path);
   std::printf("  latency table written to %s (%zu layers; pass it to\n"
               "  `clado_cli assign --latency-table=%s --budget-ms=...`)\n",
               path.c_str(), table.layers(), path.c_str());

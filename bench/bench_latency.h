@@ -24,7 +24,7 @@
 #include <string>
 #include <vector>
 
-#include "clado/backend/latency.h"
+#include "clado/core/algorithms.h"
 #include "clado/models/model.h"
 #include "clado/nn/layers.h"
 #include "clado/quant/int4.h"
@@ -98,13 +98,13 @@ inline double time_per_run_adaptive(Fn&& fn, double min_seconds) {
 /// process-wide dispatched kernel level (this is a deployment measurement,
 /// not a scalar-reference race). `min_seconds` bounds the per-timing wall
 /// clock; bench_backend uses a longer window than the inline fallback.
-inline clado::backend::LatencyTable measure_latency_table(clado::models::Model& model,
-                                                          double min_seconds = 0.02) {
+inline clado::core::LatencyTable measure_latency_table(clado::models::Model& model,
+                                                       double min_seconds = 0.02) {
   namespace kernels = clado::tensor::kernels;
   const kernels::Level level = kernels::active_level();
   clado::tensor::Rng rng(2718);
 
-  clado::backend::LatencyTable table;
+  clado::core::LatencyTable table;
   for (const LayerGemmShape& s : probe_layer_shapes(model)) {
     const auto mk = static_cast<std::size_t>(s.m * s.k);
     const auto nk = static_cast<std::size_t>(s.n * s.k);

@@ -16,9 +16,10 @@
 
 #include "bench_common.h"
 #include "bench_latency.h"
-#include "clado/backend/latency.h"
+#include "clado/core/algorithms.h"
 #include "clado/core/report.h"
 #include "clado/obs/obs.h"
+#include "clado/quant/qat.h"
 #include "clado/solver/iqp.h"
 #include "clado/tensor/thread_pool.h"
 
@@ -151,28 +152,24 @@ int main(int argc, char** argv) {
     add("IQP re-solve (new budget)", -1, -1, secs(t0));
 
     if (latency_requested) {
-      // Accuracy vs measured milliseconds: swap the byte column for the
-      // per-layer latencies this host actually runs at and solve under a
-      // ms budget. Latency depends on the executing backend, not the
-      // nominal bit count, so candidate bits map onto table columns via
-      // precision_for_bits.
-      const auto lt = latency_path.empty()
-                          ? measure_latency_table(tm.model)
-                          : clado::backend::load_latency_table(latency_path);
-      const auto cost =
-          clado::backend::latency_costs(lt, static_cast<std::size_t>(I), tm.model.candidate_bits);
+      // Accuracy vs measured milliseconds: solve under a ms budget against
+      // the per-layer latencies this host actually runs at.
+      // assign_under_latency charges each candidate bit-width the column of
+      // the precision that executes it and checks the table's layer count.
+      const auto lt = latency_path.empty() ? measure_latency_table(tm.model)
+                                           : clado::core::load_latency_table(latency_path);
       double budget = budget_ms_arg;
       if (budget <= 0.0) {
         double s8 = 0.0;
         double s4 = 0.0;
         for (std::size_t g = 0; g < lt.layers(); ++g) {
-          s8 += lt.at(g, clado::backend::Precision::kInt8);
-          s4 += lt.at(g, clado::backend::Precision::kInt4);
+          s8 += lt.at(g, clado::quant::Precision::kInt8);
+          s4 += lt.at(g, clado::quant::Precision::kInt4);
         }
         budget = 0.5 * (s8 + s4);
       }
       t0 = Clock::now();
-      const auto al = pipe.assign_under_latency(Algorithm::kClado, cost, budget);
+      const auto al = pipe.assign_under_latency(Algorithm::kClado, lt, budget);
       add("IQP latency solve (--budget-ms)", -1, al.solver_nodes, secs(t0));
       const double acc = ptq_accuracy(tm, pipe, al);
       std::printf(

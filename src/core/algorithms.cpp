@@ -16,6 +16,73 @@
 
 namespace clado::core {
 
+namespace {
+
+constexpr const char* kLatencyEntry = "latency_ms";
+
+/// The one validity rule of a latency entry, shared by save and load: a
+/// solver cost must be a finite, non-negative number of milliseconds.
+bool valid_latency(float ms) { return std::isfinite(ms) && ms >= 0.0F; }
+
+}  // namespace
+
+void save_latency_table(const LatencyTable& table, const std::string& path) {
+  constexpr std::int64_t kCols = clado::quant::kNumPrecisions;
+  const auto layers = static_cast<std::int64_t>(table.ms.size());
+  Tensor t({layers, kCols});
+  for (std::int64_t g = 0; g < layers; ++g) {
+    const auto& row = table.ms[static_cast<std::size_t>(g)];
+    if (static_cast<std::int64_t>(row.size()) != kCols) {
+      throw std::invalid_argument("save_latency_table: row " + std::to_string(g) + " has " +
+                                  std::to_string(row.size()) + " columns, expected " +
+                                  std::to_string(kCols));
+    }
+    for (std::int64_t p = 0; p < kCols; ++p) {
+      // Validated as stored: a double beyond float range would save as inf.
+      const auto v = static_cast<float>(row[static_cast<std::size_t>(p)]);
+      if (!valid_latency(v)) {
+        throw std::invalid_argument("save_latency_table: row " + std::to_string(g) +
+                                    ": latency must be finite and non-negative, got " +
+                                    std::to_string(v));
+      }
+      t.data()[g * kCols + p] = v;
+    }
+  }
+  clado::tensor::StateDict dict;
+  dict[kLatencyEntry] = std::move(t);
+  clado::tensor::save_state_dict(dict, path);
+}
+
+LatencyTable load_latency_table(const std::string& path) {
+  constexpr std::int64_t kCols = clado::quant::kNumPrecisions;
+  const clado::tensor::StateDict dict = clado::tensor::load_state_dict(path);
+  const auto it = dict.find(kLatencyEntry);
+  if (it == dict.end()) {
+    throw std::runtime_error("load_latency_table: " + path + " has no '" +
+                             std::string(kLatencyEntry) + "' entry");
+  }
+  const Tensor& t = it->second;
+  if (t.dim() != 2 || t.size(1) != kCols) {
+    throw std::runtime_error("load_latency_table: " + path + ": expected a [layers, " +
+                             std::to_string(kCols) + "] tensor, got " + t.shape_str());
+  }
+  LatencyTable table;
+  table.ms.resize(static_cast<std::size_t>(t.size(0)));
+  for (std::int64_t g = 0; g < t.size(0); ++g) {
+    auto& row = table.ms[static_cast<std::size_t>(g)];
+    for (std::int64_t p = 0; p < kCols; ++p) {
+      const float v = t.data()[g * kCols + p];
+      if (!valid_latency(v)) {
+        throw std::runtime_error("load_latency_table: " + path + ": row " + std::to_string(g) +
+                                 ": latency must be finite and non-negative, got " +
+                                 std::to_string(v));
+      }
+      row.push_back(static_cast<double>(v));
+    }
+  }
+  return table;
+}
+
 const char* algorithm_name(Algorithm a) {
   switch (a) {
     case Algorithm::kHawq: return "HAWQ";
@@ -42,7 +109,7 @@ const Tensor& MpqPipeline::clado_matrix_raw() {
         if (done == total) std::fprintf(stderr, "\n");
       };
     }
-    g_raw_ = engine_.full_matrix(progress, options_.sweep_threads);
+    g_raw_ = engine_.full_matrix(progress);
   }
   return *g_raw_;
 }
@@ -281,21 +348,20 @@ Assignment MpqPipeline::assign(Algorithm algorithm, double target_bytes) {
   return assign_with_costs(algorithm, size_costs(), target_bytes, /*latency=*/false);
 }
 
-Assignment MpqPipeline::assign_under_latency(Algorithm algorithm,
-                                             const std::vector<std::vector<double>>& latency_cost,
+Assignment MpqPipeline::assign_under_latency(Algorithm algorithm, const LatencyTable& table,
                                              double budget_ms) {
-  if (latency_cost.size() != model_.quant_layers.size()) {
-    throw std::invalid_argument("assign_under_latency: cost covers " +
-                                std::to_string(latency_cost.size()) + " layers, model has " +
+  if (table.layers() != model_.quant_layers.size()) {
+    throw std::invalid_argument("assign_under_latency: table covers " +
+                                std::to_string(table.layers()) + " layers, model has " +
                                 std::to_string(model_.quant_layers.size()));
   }
-  for (const auto& row : latency_cost) {
-    if (row.size() != model_.candidate_bits.size()) {
-      throw std::invalid_argument(
-          "assign_under_latency: cost rows must have one entry per candidate bit-width");
+  std::vector<std::vector<double>> costs(table.layers());
+  for (std::size_t g = 0; g < costs.size(); ++g) {
+    for (const int b : model_.candidate_bits) {
+      costs[g].push_back(table.at(g, clado::quant::precision_for_bits(b)));
     }
   }
-  return assign_with_costs(algorithm, latency_cost, budget_ms, /*latency=*/true);
+  return assign_with_costs(algorithm, costs, budget_ms, /*latency=*/true);
 }
 
 std::unique_ptr<clado::quant::WeightSnapshot> MpqPipeline::apply_ptq(

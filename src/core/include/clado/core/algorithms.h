@@ -41,6 +41,35 @@ struct PipelineOptions {
   bool verbose = false;
 };
 
+/// Measured per-layer, per-precision latency: the knapsack column of
+/// assign_under_latency. bench_backend times each quantizable layer at
+/// every execution precision on the live machine, so the solver can
+/// optimize accuracy under a milliseconds budget (halving bits does not
+/// halve latency, so a size-optimal assignment is not a latency-optimal
+/// one). Columns are indexed by quant::Precision, not by bit count: a
+/// candidate bit-width costs what the precision that executes it costs.
+struct LatencyTable {
+  /// ms[layer][precision], indexed by static_cast<int>(quant::Precision).
+  std::vector<std::vector<double>> ms;
+
+  std::size_t layers() const { return ms.size(); }
+  /// Throws std::out_of_range on a missing layer or column.
+  double at(std::size_t layer, clado::quant::Precision p) const {
+    return ms.at(layer).at(static_cast<std::size_t>(p));
+  }
+};
+
+/// Writes the table atomically with a CRC32 checksum (v2 state-dict
+/// container, one [layers, kNumPrecisions] tensor). Throws
+/// std::invalid_argument on a row without kNumPrecisions columns or an
+/// entry that is not finite and non-negative, so every saved table loads.
+void save_latency_table(const LatencyTable& table, const std::string& path);
+
+/// Loads a table written by save_latency_table. Throws std::runtime_error
+/// naming the file on I/O failure, corruption, a malformed artifact, or an
+/// entry that is not finite and non-negative.
+LatencyTable load_latency_table(const std::string& path);
+
 /// A bit-width assignment plus solver diagnostics.
 struct Assignment {
   Algorithm algorithm{};
@@ -75,14 +104,13 @@ class MpqPipeline {
   Assignment assign(Algorithm algorithm, double target_bytes);
 
   /// Like assign, but the knapsack constraint is a measured latency budget
-  /// instead of bytes: `latency_cost[g][m]` is layer g's milliseconds at
-  /// candidate m (backend::latency_costs expands a bench_backend table into
-  /// this shape) and the assignment satisfies Σ latency <= budget_ms. The
-  /// result reports both the realized milliseconds (latency_ms) and the
-  /// realized bytes of the chosen bits. Throws std::invalid_argument when
-  /// latency_cost does not match the layer/candidate structure.
-  Assignment assign_under_latency(Algorithm algorithm,
-                                  const std::vector<std::vector<double>>& latency_cost,
+  /// instead of bytes: candidate m of layer g costs
+  /// table.at(g, precision_for_bits(candidate_bits[m])) milliseconds and
+  /// the assignment satisfies Σ latency <= budget_ms. The result reports
+  /// both the realized milliseconds (latency_ms) and the realized bytes of
+  /// the chosen bits. Throws std::invalid_argument when the table's layer
+  /// count differs from the model's.
+  Assignment assign_under_latency(Algorithm algorithm, const LatencyTable& table,
                                   double budget_ms);
 
   /// Applies an assignment destructively to the model's weights (PTQ) and

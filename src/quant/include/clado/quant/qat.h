@@ -52,6 +52,26 @@ struct WeightCodes {
   int bits = 0;
 };
 
+/// Arithmetic a layer executes in at serve time. Values index latency-table
+/// columns, so they are part of the artifact format — append only.
+enum class Precision {
+  kFp32 = 0,
+  kInt8 = 1,
+  kInt4 = 2,
+};
+
+inline constexpr int kNumPrecisions = 3;
+
+/// Stable lowercase name ("fp32", "int8", "int4") — appears in plan dumps,
+/// obs metrics and test output.
+const char* precision_name(Precision p);
+
+/// The precision that executes a layer quantized to `bits`: 0 (fp32 layer)
+/// and anything above 8 stay fp32; 1-4 bits run on int4 (codes fit
+/// [-8, 7]); 5-8 bits run on int8. This is also the mapping from a solver
+/// candidate bit-width to its latency-table column.
+Precision precision_for_bits(int bits);
+
 /// Overwrites each layer's weight with Q(w, bits[i], scheme). bits[i] == 0
 /// leaves layer i in fp32. bits.size() must equal layers.size(). When
 /// codes_out is non-null it is resized to one WeightCodes per layer,

@@ -97,4 +97,18 @@ double uniform_bytes(const std::vector<QuantLayerRef>& layers, int bits) {
   return bytes;
 }
 
+const char* precision_name(Precision p) {
+  switch (p) {
+    case Precision::kFp32: return "fp32";
+    case Precision::kInt8: return "int8";
+    case Precision::kInt4: return "int4";
+  }
+  return "?";
+}
+
+Precision precision_for_bits(int bits) {
+  if (bits <= 0 || bits > 8) return Precision::kFp32;
+  return bits <= 4 ? Precision::kInt4 : Precision::kInt8;
+}
+
 }  // namespace clado::quant

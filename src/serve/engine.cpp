@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "clado/backend/backend.h"
 #include "clado/models/model.h"
 #include "clado/nn/module.h"
 #include "clado/obs/obs.h"
@@ -59,7 +58,7 @@ Engine::Engine(clado::models::Model model, EngineSpec spec)
       auto* layer = model_.quant_layers[i].layer;
       const std::int64_t rows = layer->quant_out_channels();
       const std::int64_t cols = layer->weight_param().value.numel() / rows;
-      prepared_.push_back(clado::backend::prepare_layer(codes[i], rows, cols));
+      prepared_.push_back(prepare_layer(codes[i], rows, cols));
       const auto* mod = dynamic_cast<const clado::nn::Module*>(layer);
       if (mod != nullptr) prep_map.emplace(mod, &prepared_.back());
     }

@@ -16,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "clado/backend/backend.h"
 #include "clado/models/model.h"
 #include "clado/serve/plan.h"
 #include "clado/tensor/tensor.h"
@@ -87,7 +86,7 @@ class Engine {
   bool backend_enabled() const { return backend_enabled_; }
   /// Per-quant-layer execution material (empty unless backend_enabled());
   /// ordered like Model::quant_layers / EngineSpec::bits.
-  const std::vector<clado::backend::PreparedLayer>& prepared_layers() const {
+  const std::vector<PreparedLayer>& prepared_layers() const {
     return prepared_;
   }
 
@@ -121,7 +120,7 @@ class Engine {
   /// Integer codes per quant layer, built once at freeze and shared (by
   /// pointer) with every plan. Stable storage: never resized after
   /// construction.
-  std::vector<clado::backend::PreparedLayer> prepared_;
+  std::vector<PreparedLayer> prepared_;
   std::vector<std::unique_ptr<CompiledPlan>> plans_;  ///< one per replica
   std::vector<Tensor> predict_out_;                   ///< per-replica logits scratch
   Shape sample_shape_;

@@ -22,6 +22,13 @@
 // Every step replays the exact kernel call sequence and elementwise loop
 // order of the eager forwards, so plan logits are bit-identical to
 // Sequential::forward — verified across the model zoo in plan_test.
+//
+// Integer execution: a conv/linear step whose module maps to an integer
+// PreparedLayer (the exact codes of its frozen weight, int8 verbatim or
+// <= 4-bit packed two per byte) quantizes its input to int8, runs
+// integer_gemm at the layer's precision and requantizes the int32
+// accumulator to fp32 — float only at layer seams, the semantics the
+// fake-quant sensitivity sweep calibrated.
 #pragma once
 
 #include <cstdint>
@@ -30,10 +37,10 @@
 #include <unordered_map>
 #include <vector>
 
-#include "clado/backend/backend.h"
 #include "clado/nn/blocks.h"
 #include "clado/nn/layers.h"
 #include "clado/nn/sequential.h"
+#include "clado/quant/qat.h"
 #include "clado/tensor/tensor.h"
 
 namespace clado::serve {
@@ -41,12 +48,37 @@ namespace clado::serve {
 using clado::tensor::Shape;
 using clado::tensor::Tensor;
 
+/// Immutable per-layer integer execution material, built once at engine
+/// freeze and shared by every plan of the engine. `n` is the number of
+/// weight rows (output channels / features), `k` the reduction length;
+/// exactly one of w_s8 / w_s4 is populated for the integer precisions.
+struct PreparedLayer {
+  clado::quant::Precision precision = clado::quant::Precision::kFp32;
+  std::int64_t n = 0;
+  std::int64_t k = 0;
+  float w_scale = 1.0F;             ///< codes * w_scale == baked weight
+  std::vector<std::int8_t> w_s8;    ///< [n, k] codes (kInt8)
+  std::vector<std::uint8_t> w_s4;   ///< [n, (k+1)/2] packed codes (kInt4)
+};
+
+/// Builds the prepared form of one layer from the codes captured by
+/// quant::bake_weights: int8 codes are kept as-is, <= 4-bit codes are
+/// packed two per byte, and codes.bits == 0 yields a kFp32 PreparedLayer.
+/// Throws std::invalid_argument when codes.codes.size() != n * k.
+PreparedLayer prepare_layer(const clado::quant::WeightCodes& codes, std::int64_t n,
+                            std::int64_t k);
+
+/// Integer GEMM of `rows` quantized input rows ([rows, k] int8 with zero
+/// point `za`) against the prepared weight into acc ([rows, n], int32),
+/// on the kernel of layer.precision. Weight codes are symmetric (zero
+/// point 0). Throws std::logic_error on a kFp32 layer, which has no codes.
+void integer_gemm(const PreparedLayer& layer, std::int64_t rows, const std::int8_t* in,
+                  std::int32_t za, std::int32_t* acc);
+
 /// Per-layer execution material the Engine hands the compiler: module ->
-/// the PreparedLayer (integer codes + precision) built from the WeightCodes
-/// captured at freeze. Layers absent from the map (or mapped to a kFp32
-/// entry) keep the fp32 kernels.
-using PreparedMap =
-    std::unordered_map<const clado::nn::Module*, const clado::backend::PreparedLayer*>;
+/// the PreparedLayer built from the WeightCodes captured at freeze. Layers
+/// absent from the map (or mapped to a kFp32 entry) keep the fp32 kernels.
+using PreparedMap = std::unordered_map<const clado::nn::Module*, const PreparedLayer*>;
 
 enum class StepKind {
   kConv,           ///< Conv2d (+ optional fused activation)
@@ -128,7 +160,7 @@ struct PlanStep {
   // GEMM runs at the layer's assigned precision, and the int32 accumulator
   // is requantized to fp32 in `out` — float only at the layer seams,
   // exactly the fake-quant semantics.
-  const clado::backend::PreparedLayer* prepared = nullptr;
+  const PreparedLayer* prepared = nullptr;
   bool in_static_q = false;  ///< input qparams frozen at compile (FQ producer)
   float in_scale = 1.0F;     ///< input scale (recomputed per run when dynamic)
   std::int32_t in_zp = 0;    ///< input zero point, signed-int8 domain
@@ -203,6 +235,12 @@ class CompiledPlan {
   void run_linear_backend(PlanStep& step, std::int64_t n);
   int new_buffer(std::int64_t per_sample, bool scratch, std::int64_t scratch_numel = 0);
   void note_read(int buffer);
+  /// Appends `step` as the reader of the current activation: fills its
+  /// input side from the compile cursor and its output side from
+  /// `out_shape`, extends the live ranges of `in` (and `in2`, if set),
+  /// allocates its workspace (when scratch_numel >= 0) and then its output
+  /// buffer, and moves the cursor onto that output. Returns the new step.
+  PlanStep& emit(PlanStep step, Shape out_shape, std::int64_t scratch_numel = -1);
   /// Probes `module` with a zeros [1, cur-shape] forward to learn its
   /// per-sample output shape and emits a kFallback step.
   void emit_fallback(clado::nn::Module& module, bool probe);

@@ -18,9 +18,6 @@
 // Observability: serve.* counters/gauges (submitted, completed, batches,
 // rejected_overload, deadline_expired, queue_depth, batch_size) feed the
 // standard clado::obs dump; drain() publishes p50/p99/max latency gauges.
-// With capture_traces on, each batch runs under an obs::TraceScope and
-// every response carries the span tree of its batch — per-request
-// timelines without polluting the process-global trace ring.
 #pragma once
 
 #include <cstdint>
@@ -34,7 +31,6 @@
 
 #include <condition_variable>
 
-#include "clado/obs/obs.h"
 #include "clado/serve/engine.h"
 #include "clado/tensor/check.h"
 #include "clado/tensor/thread_pool.h"
@@ -76,8 +72,6 @@ struct Response {
   std::int64_t queue_us = 0;    ///< admission -> batch formation
   std::int64_t total_us = 0;    ///< admission -> completion
   std::string error;            ///< kEngineError details
-  /// Span tree of the executing batch (ServerConfig::capture_traces).
-  std::vector<clado::obs::TraceScope::Event> trace;
 };
 
 struct ServerConfig {
@@ -91,7 +85,6 @@ struct ServerConfig {
   /// (3/4 of queue_capacity, at least 1). Interactive requests are only
   /// shed at queue_capacity, after trying to evict a queued best-effort.
   std::int64_t best_effort_cap = 0;
-  bool capture_traces = false;       ///< attach per-request span trees to responses
   /// Admit requests but hold execution until resume(); lets tests and the
   /// batching bench enqueue a known backlog before the first batch forms.
   bool start_paused = false;

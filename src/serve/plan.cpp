@@ -7,10 +7,10 @@
 #include <stdexcept>
 #include <utility>
 
-#include "clado/backend/backend.h"
 #include "clado/nn/attention.h"
 #include "clado/obs/obs.h"
 #include "clado/quant/act_quant.h"
+#include "clado/quant/int4.h"
 #include "clado/quant/int8.h"
 #include "clado/tensor/kernels.h"
 #include "clado/tensor/ops.h"
@@ -49,6 +49,44 @@ std::string shape_str(const Shape& shape) {
 }
 
 }  // namespace
+
+PreparedLayer prepare_layer(const clado::quant::WeightCodes& codes, std::int64_t n,
+                            std::int64_t k) {
+  PreparedLayer out;
+  out.precision = clado::quant::precision_for_bits(codes.bits);
+  out.n = n;
+  out.k = k;
+  if (out.precision == clado::quant::Precision::kFp32) return out;
+  if (static_cast<std::int64_t>(codes.codes.size()) != n * k) {
+    throw std::invalid_argument("prepare_layer: " + std::to_string(codes.codes.size()) +
+                                " codes for an [" + std::to_string(n) + ", " +
+                                std::to_string(k) + "] weight");
+  }
+  out.w_scale = codes.scale;
+  if (out.precision == clado::quant::Precision::kInt4) {
+    out.w_s4 = clado::quant::pack_s4_rows(codes.codes.data(), n, k);
+  } else {
+    out.w_s8 = codes.codes;
+  }
+  return out;
+}
+
+void integer_gemm(const PreparedLayer& layer, std::int64_t rows, const std::int8_t* in,
+                  std::int32_t za, std::int32_t* acc) {
+  switch (layer.precision) {
+    case clado::quant::Precision::kInt8:
+      clado::quant::gemm_s8s8_s32(rows, layer.n, layer.k, in, za, layer.w_s8.data(),
+                                  /*zb=*/0, acc);
+      return;
+    case clado::quant::Precision::kInt4:
+      clado::quant::gemm_s8s4_s32(rows, layer.n, layer.k, in, za, layer.w_s4.data(),
+                                  /*zb=*/0, acc);
+      return;
+    case clado::quant::Precision::kFp32:
+      break;
+  }
+  throw std::logic_error("integer_gemm: a fp32 layer has no integer codes");
+}
 
 const char* step_kind_name(StepKind kind) {
   switch (kind) {
@@ -114,7 +152,7 @@ std::string CompiledPlan::dump() const {
     out.append(" -> ").append(shape_str(step.out_shape));
     if (step.kind == StepKind::kConv || step.kind == StepKind::kLinear) {
       out += " backend=";
-      out += step.prepared != nullptr ? clado::backend::precision_name(step.prepared->precision)
+      out += step.prepared != nullptr ? clado::quant::precision_name(step.prepared->precision)
                                       : "fp32";
       if (step.prepared != nullptr) {
         out += step.in_static_q ? " in=static" : " in=dynamic";
@@ -135,8 +173,8 @@ void CompiledPlan::attach_backend(PlanStep& step, const Module& module, std::int
   if (prepared_ == nullptr) return;
   const auto it = prepared_->find(&module);
   if (it == prepared_->end() || it->second == nullptr) return;
-  const clado::backend::PreparedLayer& prep = *it->second;
-  if (prep.precision == clado::backend::Precision::kFp32) return;
+  const PreparedLayer& prep = *it->second;
+  if (prep.precision == clado::quant::Precision::kFp32) return;
   if (prep.n != wn || prep.k != wk) {
     // The Engine built this entry from the same module's weight tensor; a
     // geometry mismatch means the map was wired against the wrong network.
@@ -223,22 +261,13 @@ void CompiledPlan::compile_module(Module& module) {
     }
     PlanStep step;
     step.kind = StepKind::kResidualAdd;
-    step.in = main_buf;
     step.in2 = short_buf;
     step.has_act = res->final_relu();
     step.act = Act::kRelu;
-    step.in_shape = main_shape;
-    step.out_shape = main_shape;
-    step.per_sample_in = shape_numel(main_shape);
-    step.per_sample_out = step.per_sample_in;
     step.label = "plan/resadd";
-    note_read(main_buf);
-    note_read(short_buf);
-    const int out_buf = new_buffer(step.per_sample_out, /*scratch=*/false);
-    step.out = out_buf;
-    steps_.push_back(std::move(step));
-    cur_buf_ = out_buf;
+    cur_buf_ = main_buf;
     cur_shape_ = main_shape;
+    emit(std::move(step), main_shape);
     return;
   }
 
@@ -255,32 +284,21 @@ void CompiledPlan::compile_module(Module& module) {
     PlanStep step;
     step.kind = StepKind::kConv;
     step.conv = conv;
-    step.in = cur_buf_;
     step.in_h = h;
     step.in_w = w;
-    step.in_shape = cur_shape_;
-    step.out_shape = {conv->out_channels(), oh, ow};
-    step.per_sample_in = shape_numel(step.in_shape);
-    step.per_sample_out = shape_numel(step.out_shape);
     step.label = "plan/conv";
+    // The im2col workspace is per-sample (samples stream through it), so it
+    // is NOT scaled by max_batch — exactly the eager kernel's cols vector.
+    PlanStep& emitted =
+        emit(std::move(step), {conv->out_channels(), oh, ow}, conv->cols_numel(h, w));
     if (conv->groups() == 1) {
       // The integer conv path is im2col + GEMM over the full patch — the
       // no-groups layout (grouped convs keep their eager fp32 kernel).
-      attach_backend(step, *conv, conv->out_channels(),
+      attach_backend(emitted, *conv, conv->out_channels(),
                      conv->in_channels() * conv->kernel() * conv->kernel(),
                      /*acc_numel=*/oh * ow * conv->out_channels(),
                      /*cols_numel=*/conv->cols_numel(h, w));
     }
-    note_read(cur_buf_);
-    // The im2col workspace is per-sample (samples stream through it), so it
-    // is NOT scaled by max_batch — exactly the eager kernel's cols vector.
-    step.scratch = new_buffer(0, /*scratch=*/true, conv->cols_numel(h, w));
-    const int out_buf = new_buffer(step.per_sample_out, /*scratch=*/false);
-    step.out = out_buf;
-    const Shape out_shape = step.out_shape;
-    steps_.push_back(std::move(step));
-    cur_buf_ = out_buf;
-    cur_shape_ = out_shape;
     return;
   }
 
@@ -293,24 +311,14 @@ void CompiledPlan::compile_module(Module& module) {
     PlanStep step;
     step.kind = StepKind::kLinear;
     step.linear = fc;
-    step.in = cur_buf_;
-    step.in_shape = cur_shape_;
     step.rows_per_sample = shape_numel(cur_shape_) / fc->in_features();
-    step.out_shape = cur_shape_;
-    step.out_shape.back() = fc->out_features();
-    step.per_sample_in = shape_numel(step.in_shape);
-    step.per_sample_out = shape_numel(step.out_shape);
     step.label = "plan/linear";
-    attach_backend(step, *fc, fc->out_features(), fc->in_features(),
-                   /*acc_numel=*/max_batch_ * step.rows_per_sample * fc->out_features(),
+    Shape out_shape = cur_shape_;
+    out_shape.back() = fc->out_features();
+    PlanStep& emitted = emit(std::move(step), std::move(out_shape));
+    attach_backend(emitted, *fc, fc->out_features(), fc->in_features(),
+                   /*acc_numel=*/max_batch_ * emitted.rows_per_sample * fc->out_features(),
                    /*cols_numel=*/0);
-    note_read(cur_buf_);
-    const int out_buf = new_buffer(step.per_sample_out, /*scratch=*/false);
-    step.out = out_buf;
-    const Shape out_shape = step.out_shape;
-    steps_.push_back(std::move(step));
-    cur_buf_ = out_buf;
-    cur_shape_ = out_shape;
     return;
   }
 
@@ -332,17 +340,8 @@ void CompiledPlan::compile_module(Module& module) {
     PlanStep step;
     step.kind = StepKind::kAct;
     step.act = act->kind();
-    step.in = cur_buf_;
-    step.in_shape = cur_shape_;
-    step.out_shape = cur_shape_;
-    step.per_sample_in = shape_numel(cur_shape_);
-    step.per_sample_out = step.per_sample_in;
     step.label = "plan/act";
-    note_read(cur_buf_);
-    const int out_buf = new_buffer(step.per_sample_out, /*scratch=*/false);
-    step.out = out_buf;
-    steps_.push_back(std::move(step));
-    cur_buf_ = out_buf;
+    emit(std::move(step), cur_shape_);
     return;
   }
 
@@ -363,25 +362,16 @@ void CompiledPlan::compile_module(Module& module) {
     step.fq_scale = fq->scale();
     step.fq_zero_point = fq->zero_point();
     step.fq_levels = std::ldexp(1.0F, fq->bits()) - 1.0F;
-    step.in = cur_buf_;
-    step.in_shape = cur_shape_;
-    step.out_shape = cur_shape_;
-    step.per_sample_in = shape_numel(cur_shape_);
-    step.per_sample_out = step.per_sample_in;
     step.label = "plan/fq";
-    note_read(cur_buf_);
-    const int out_buf = new_buffer(step.per_sample_out, /*scratch=*/false);
-    step.out = out_buf;
-    if (fq->bits() == 8 && step.fq_zero_point == std::nearbyint(step.fq_zero_point)) {
+    const PlanStep& emitted = emit(std::move(step), cur_shape_);
+    if (fq->bits() == 8 && emitted.fq_zero_point == std::nearbyint(emitted.fq_zero_point)) {
       // Downstream backend steps may quantize this buffer statically: its
       // values sit exactly on the (scale, zero_point) grid.
-      auto& ob = buffers_[static_cast<std::size_t>(out_buf)];
+      auto& ob = buffers_[static_cast<std::size_t>(emitted.out)];
       ob.fq8 = true;
-      ob.fq_scale = step.fq_scale;
-      ob.fq_zero_point = step.fq_zero_point;
+      ob.fq_scale = emitted.fq_scale;
+      ob.fq_zero_point = emitted.fq_zero_point;
     }
-    steps_.push_back(std::move(step));
-    cur_buf_ = out_buf;
     return;
   }
 
@@ -394,20 +384,10 @@ void CompiledPlan::compile_module(Module& module) {
     PlanStep step;
     step.kind = StepKind::kSE;
     step.se = se;
-    step.in = cur_buf_;
     step.channels = cur_shape_[0];
     step.hw = cur_shape_[1] * cur_shape_[2];
-    step.in_shape = cur_shape_;
-    step.out_shape = cur_shape_;
-    step.per_sample_in = shape_numel(cur_shape_);
-    step.per_sample_out = step.per_sample_in;
     step.label = "plan/se";
-    note_read(cur_buf_);
-    step.scratch = new_buffer(0, /*scratch=*/true, se->scratch_numel(max_batch_));
-    const int out_buf = new_buffer(step.per_sample_out, /*scratch=*/false);
-    step.out = out_buf;
-    steps_.push_back(std::move(step));
-    cur_buf_ = out_buf;
+    emit(std::move(step), cur_shape_, se->scratch_numel(max_batch_));
     return;
   }
 
@@ -423,22 +403,11 @@ void CompiledPlan::compile_module(Module& module) {
     PlanStep step;
     step.kind = StepKind::kMaxPool;
     step.pool = pool;
-    step.in = cur_buf_;
     step.channels = cur_shape_[0];
     step.in_h = h;
     step.in_w = w;
-    step.in_shape = cur_shape_;
-    step.out_shape = {cur_shape_[0], oh, ow};
-    step.per_sample_in = shape_numel(step.in_shape);
-    step.per_sample_out = shape_numel(step.out_shape);
     step.label = "plan/maxpool";
-    note_read(cur_buf_);
-    const int out_buf = new_buffer(step.per_sample_out, /*scratch=*/false);
-    step.out = out_buf;
-    const Shape out_shape = step.out_shape;
-    steps_.push_back(std::move(step));
-    cur_buf_ = out_buf;
-    cur_shape_ = out_shape;
+    emit(std::move(step), {cur_shape_[0], oh, ow});
     return;
   }
 
@@ -450,21 +419,10 @@ void CompiledPlan::compile_module(Module& module) {
     PlanStep step;
     step.kind = StepKind::kGlobalAvgPool;
     step.gap = gap;
-    step.in = cur_buf_;
     step.channels = cur_shape_[0];
     step.hw = cur_shape_[1] * cur_shape_[2];
-    step.in_shape = cur_shape_;
-    step.out_shape = {cur_shape_[0]};
-    step.per_sample_in = shape_numel(step.in_shape);
-    step.per_sample_out = cur_shape_[0];
     step.label = "plan/gap";
-    note_read(cur_buf_);
-    const int out_buf = new_buffer(step.per_sample_out, /*scratch=*/false);
-    step.out = out_buf;
-    const Shape out_shape = step.out_shape;
-    steps_.push_back(std::move(step));
-    cur_buf_ = out_buf;
-    cur_shape_ = out_shape;
+    emit(std::move(step), {cur_shape_[0]});
     return;
   }
 
@@ -476,18 +434,9 @@ void CompiledPlan::compile_module(Module& module) {
     PlanStep step;
     step.kind = StepKind::kLayerNorm;
     step.ln = ln;
-    step.in = cur_buf_;
     step.rows_per_sample = shape_numel(cur_shape_) / ln->features();
-    step.in_shape = cur_shape_;
-    step.out_shape = cur_shape_;
-    step.per_sample_in = shape_numel(cur_shape_);
-    step.per_sample_out = step.per_sample_in;
     step.label = "plan/ln";
-    note_read(cur_buf_);
-    const int out_buf = new_buffer(step.per_sample_out, /*scratch=*/false);
-    step.out = out_buf;
-    steps_.push_back(std::move(step));
-    cur_buf_ = out_buf;
+    emit(std::move(step), cur_shape_);
     return;
   }
 
@@ -498,35 +447,38 @@ void CompiledPlan::compile_module(Module& module) {
     }
     PlanStep step;
     step.kind = StepKind::kTakeToken;
-    step.in = cur_buf_;
     step.take_tokens = cur_shape_[0];
     step.take_dim = cur_shape_[1];
     step.take_index = take->index();
-    step.in_shape = cur_shape_;
-    step.out_shape = {cur_shape_[1]};
-    step.per_sample_in = shape_numel(step.in_shape);
-    step.per_sample_out = cur_shape_[1];
     step.label = "plan/take";
-    note_read(cur_buf_);
-    const int out_buf = new_buffer(step.per_sample_out, /*scratch=*/false);
-    step.out = out_buf;
-    const Shape out_shape = step.out_shape;
-    steps_.push_back(std::move(step));
-    cur_buf_ = out_buf;
-    cur_shape_ = out_shape;
+    emit(std::move(step), {cur_shape_[1]});
     return;
   }
 
   emit_fallback(module, /*probe=*/true);
 }
 
+PlanStep& CompiledPlan::emit(PlanStep step, Shape out_shape, std::int64_t scratch_numel) {
+  step.in = cur_buf_;
+  step.in_shape = cur_shape_;
+  step.per_sample_in = shape_numel(cur_shape_);
+  step.per_sample_out = shape_numel(out_shape);
+  step.out_shape = out_shape;
+  note_read(step.in);
+  if (step.in2 >= 0) note_read(step.in2);
+  if (scratch_numel >= 0) step.scratch = new_buffer(0, /*scratch=*/true, scratch_numel);
+  step.out = new_buffer(step.per_sample_out, /*scratch=*/false);
+  cur_buf_ = step.out;
+  cur_shape_ = std::move(out_shape);
+  steps_.push_back(std::move(step));
+  return steps_.back();
+}
+
 void CompiledPlan::emit_fallback(Module& module, bool probe) {
   PlanStep step;
   step.kind = StepKind::kFallback;
   step.fallback = &module;
-  step.in = cur_buf_;
-  step.in_shape = cur_shape_;
-  step.per_sample_in = shape_numel(cur_shape_);
+  step.label = "plan/fallback";
   Shape out_shape = cur_shape_;
   if (probe) {
     Shape probe_shape = cur_shape_;
@@ -539,15 +491,7 @@ void CompiledPlan::emit_fallback(Module& module, bool probe) {
     out_shape = probe_out.shape();
     out_shape.erase(out_shape.begin());
   }
-  step.out_shape = out_shape;
-  step.per_sample_out = shape_numel(out_shape);
-  step.label = "plan/fallback";
-  note_read(cur_buf_);
-  const int out_buf = new_buffer(step.per_sample_out, /*scratch=*/false);
-  step.out = out_buf;
-  steps_.push_back(std::move(step));
-  cur_buf_ = out_buf;
-  cur_shape_ = std::move(out_shape);
+  emit(std::move(step), std::move(out_shape));
 }
 
 void CompiledPlan::assign_offsets() {
@@ -645,8 +589,7 @@ void CompiledPlan::run_conv_backend(PlanStep& step, std::int64_t n) {
     clado::quant::im2col_s8(img, step.in_shape[0], step.in_h, step.in_w, conv->kernel(),
                             conv->stride(), conv->padding(), oh, ow, step.in_zp,
                             step.q_cols.data());
-    clado::backend::integer_gemm(*step.prepared, positions, step.q_cols.data(), step.in_zp,
-                                 step.q_acc.data());
+    integer_gemm(*step.prepared, positions, step.q_cols.data(), step.in_zp, step.q_acc.data());
     clado::quant::requant_scatter(step.q_acc.data(), positions, out_c, rescale,
                                   conv->bias_data(), buf(step.out) + s * step.per_sample_out);
   }
@@ -655,8 +598,7 @@ void CompiledPlan::run_conv_backend(PlanStep& step, std::int64_t n) {
 void CompiledPlan::run_linear_backend(PlanStep& step, std::int64_t n) {
   quantize_step_input(step, n);
   const std::int64_t rows = n * step.rows_per_sample;
-  clado::backend::integer_gemm(*step.prepared, rows, step.q_in.data(), step.in_zp,
-                               step.q_acc.data());
+  integer_gemm(*step.prepared, rows, step.q_in.data(), step.in_zp, step.q_acc.data());
   clado::tensor::kernels::requant_s32_f32(clado::tensor::kernels::active_level(), rows,
                                           step.linear->out_features(), step.q_acc.data(),
                                           step.in_scale * step.prepared->w_scale,

@@ -288,9 +288,6 @@ void Server::execute_batch(int worker, std::vector<Pending> batch, std::int64_t 
   }
   if (live.empty()) return;
 
-  std::optional<clado::obs::TraceScope> scope;
-  if (config_.capture_traces) scope.emplace();
-
   const auto n = static_cast<std::int64_t>(live.size());
   std::string error;
   {
@@ -310,9 +307,6 @@ void Server::execute_batch(int worker, std::vector<Pending> batch, std::int64_t 
     }
     span.close();
   }
-  std::vector<clado::obs::TraceScope::Event> trace;
-  if (scope.has_value()) trace = scope->take_events();
-
   const std::int64_t done_us = now_us();
   if (!error.empty()) {
     clado::obs::counter("serve.engine_errors").add();
@@ -323,7 +317,6 @@ void Server::execute_batch(int worker, std::vector<Pending> batch, std::int64_t 
       r.batch_size = static_cast<std::int64_t>(live.size());
       r.queue_us = formed_us - p.enqueue_us;
       r.total_us = done_us - p.enqueue_us;
-      r.trace = trace;
       p.promise.set_value(std::move(r));
     }
     return;
@@ -341,7 +334,6 @@ void Server::execute_batch(int worker, std::vector<Pending> batch, std::int64_t 
     r.batch_size = static_cast<std::int64_t>(live.size());
     r.queue_us = formed_us - p.enqueue_us;
     r.total_us = done_us - p.enqueue_us;
-    r.trace = trace;
     const double total_ms = static_cast<double>(r.total_us) / 1000.0;
     p.promise.set_value(std::move(r));
     {

@@ -1,6 +1,7 @@
-// clado::backend coverage: precision selection and layer preparation, the
-// latency-table artifact, the solver's secondary-cost (milliseconds) column,
-// and — the acceptance bar for the subsystem — serve::Engine executing a
+// Integer execution and latency-budget coverage: precision selection
+// (clado::quant) and layer preparation (clado::serve), the latency-table
+// artifact and the milliseconds-budgeted pipeline solve (clado::core), and
+// — the acceptance bar for integer serving — serve::Engine executing a
 // mixed 4/8-bit assignment through real integer kernels: per-layer backend
 // tags in the plan dump, bit-identity with the reference integer path
 // (qlinear / qconv2d) on statically quantized inputs, and logits parity
@@ -12,13 +13,12 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "clado/backend/backend.h"
-#include "clado/backend/latency.h"
 #include "clado/core/algorithms.h"
 #include "clado/data/synthcv.h"
 #include "clado/models/builders.h"
@@ -30,15 +30,19 @@
 #include "clado/quant/qat.h"
 #include "clado/serve/engine.h"
 #include "clado/serve/plan.h"
-#include "clado/solver/iqp.h"
 #include "clado/tensor/rng.h"
+#include "clado/tensor/serialize.h"
 #include "clado/tensor/tensor.h"
 #include "test_models_util.h"
 
 namespace {
 
-namespace backend = clado::backend;
-using backend::Precision;
+using clado::quant::Precision;
+using clado::quant::precision_for_bits;
+using clado::quant::precision_name;
+using clado::serve::integer_gemm;
+using clado::serve::prepare_layer;
+using clado::serve::PreparedLayer;
 using clado::models::Model;
 using clado::serve::BackendMode;
 using clado::serve::Engine;
@@ -49,18 +53,18 @@ using clado::tensor::Tensor;
 // ---- precision selection ----------------------------------------------------
 
 TEST(Precision, BitsMapOntoBackends) {
-  EXPECT_EQ(backend::precision_for_bits(0), Precision::kFp32);
-  EXPECT_EQ(backend::precision_for_bits(-1), Precision::kFp32);
-  EXPECT_EQ(backend::precision_for_bits(9), Precision::kFp32);
-  EXPECT_EQ(backend::precision_for_bits(32), Precision::kFp32);
-  for (int b = 1; b <= 4; ++b) EXPECT_EQ(backend::precision_for_bits(b), Precision::kInt4) << b;
-  for (int b = 5; b <= 8; ++b) EXPECT_EQ(backend::precision_for_bits(b), Precision::kInt8) << b;
+  EXPECT_EQ(precision_for_bits(0), Precision::kFp32);
+  EXPECT_EQ(precision_for_bits(-1), Precision::kFp32);
+  EXPECT_EQ(precision_for_bits(9), Precision::kFp32);
+  EXPECT_EQ(precision_for_bits(32), Precision::kFp32);
+  for (int b = 1; b <= 4; ++b) EXPECT_EQ(precision_for_bits(b), Precision::kInt4) << b;
+  for (int b = 5; b <= 8; ++b) EXPECT_EQ(precision_for_bits(b), Precision::kInt8) << b;
 }
 
 TEST(Precision, NamesAreStable) {
-  EXPECT_STREQ(backend::precision_name(Precision::kFp32), "fp32");
-  EXPECT_STREQ(backend::precision_name(Precision::kInt8), "int8");
-  EXPECT_STREQ(backend::precision_name(Precision::kInt4), "int4");
+  EXPECT_STREQ(precision_name(Precision::kFp32), "fp32");
+  EXPECT_STREQ(precision_name(Precision::kInt8), "int8");
+  EXPECT_STREQ(precision_name(Precision::kInt4), "int4");
 }
 
 // ---- prepare_layer ----------------------------------------------------------
@@ -75,7 +79,7 @@ clado::quant::WeightCodes make_codes(int bits, float scale, std::vector<std::int
 
 TEST(PrepareLayer, Int8KeepsCodesVerbatim) {
   const auto wc = make_codes(8, 0.25F, {-128, -1, 0, 1, 127, 64});
-  const backend::PreparedLayer prep = backend::prepare_layer(wc, 2, 3);
+  const PreparedLayer prep = prepare_layer(wc, 2, 3);
   EXPECT_EQ(prep.precision, Precision::kInt8);
   EXPECT_EQ(prep.n, 2);
   EXPECT_EQ(prep.k, 3);
@@ -88,7 +92,7 @@ TEST(PrepareLayer, Int8KeepsCodesVerbatim) {
 TEST(PrepareLayer, Int4PacksRowsAndRoundTrips) {
   // Odd k so the per-row pad nibble is exercised.
   const auto wc = make_codes(4, 0.5F, {-8, 7, 0, 3, -1, 5});
-  const backend::PreparedLayer prep = backend::prepare_layer(wc, 2, 3);
+  const PreparedLayer prep = prepare_layer(wc, 2, 3);
   EXPECT_EQ(prep.precision, Precision::kInt4);
   EXPECT_TRUE(prep.w_s8.empty());
   ASSERT_EQ(static_cast<std::int64_t>(prep.w_s4.size()),
@@ -105,13 +109,13 @@ TEST(PrepareLayer, Int4PacksRowsAndRoundTrips) {
 TEST(PrepareLayer, BitsZeroStaysFp32AndSizeMismatchThrows) {
   clado::quant::WeightCodes fp;
   fp.bits = 0;
-  const backend::PreparedLayer prep = backend::prepare_layer(fp, 4, 9);
+  const PreparedLayer prep = prepare_layer(fp, 4, 9);
   EXPECT_EQ(prep.precision, Precision::kFp32);
   EXPECT_TRUE(prep.w_s8.empty());
   EXPECT_TRUE(prep.w_s4.empty());
 
   const auto wc = make_codes(8, 1.0F, {1, 2, 3});
-  EXPECT_THROW(backend::prepare_layer(wc, 2, 2), std::invalid_argument);
+  EXPECT_THROW(prepare_layer(wc, 2, 2), std::invalid_argument);
 }
 
 TEST(Backends, IntegerGemmRunsTheKernelOfItsPrecision) {
@@ -126,13 +130,13 @@ TEST(Backends, IntegerGemmRunsTheKernelOfItsPrecision) {
 
   std::vector<std::int32_t> got(static_cast<std::size_t>(rows * n));
   std::vector<std::int32_t> want(static_cast<std::size_t>(rows * n));
-  const backend::PreparedLayer p8 = backend::prepare_layer(make_codes(8, 1.0F, codes), n, k);
-  backend::integer_gemm(p8, rows, in.data(), /*za=*/-3, got.data());
+  const PreparedLayer p8 = prepare_layer(make_codes(8, 1.0F, codes), n, k);
+  integer_gemm(p8, rows, in.data(), /*za=*/-3, got.data());
   clado::quant::gemm_s8s8_s32(rows, n, k, in.data(), -3, codes.data(), 0, want.data());
   for (std::size_t i = 0; i < want.size(); ++i) ASSERT_EQ(got[i], want[i]) << "int8 " << i;
 
-  const backend::PreparedLayer p4 = backend::prepare_layer(make_codes(4, 1.0F, codes4), n, k);
-  backend::integer_gemm(p4, rows, in.data(), /*za=*/-3, got.data());
+  const PreparedLayer p4 = prepare_layer(make_codes(4, 1.0F, codes4), n, k);
+  integer_gemm(p4, rows, in.data(), /*za=*/-3, got.data());
   clado::quant::gemm_s8s4_s32(rows, n, k, in.data(), -3, p4.w_s4.data(), 0, want.data());
   for (std::size_t i = 0; i < want.size(); ++i) ASSERT_EQ(got[i], want[i]) << "int4 " << i;
 }
@@ -140,72 +144,61 @@ TEST(Backends, IntegerGemmRunsTheKernelOfItsPrecision) {
 // ---- latency table ----------------------------------------------------------
 
 TEST(LatencyTable, SaveLoadRoundTripAndValidation) {
-  backend::LatencyTable table;
+  clado::core::LatencyTable table;
   table.ms = {{4.0, 1.5, 0.75}, {8.0, 3.25, 1.125}};
   const std::string path = ::testing::TempDir() + "clado_latency_rt.bin";
-  backend::save_latency_table(table, path);
-  const backend::LatencyTable back = backend::load_latency_table(path);
+  clado::core::save_latency_table(table, path);
+  const clado::core::LatencyTable back = clado::core::load_latency_table(path);
   ASSERT_EQ(back.layers(), 2u);
   for (std::size_t g = 0; g < 2; ++g) {
-    for (int p = 0; p < backend::kNumPrecisions; ++p) {
+    for (int p = 0; p < clado::quant::kNumPrecisions; ++p) {
       EXPECT_EQ(back.ms[g][static_cast<std::size_t>(p)], table.ms[g][static_cast<std::size_t>(p)]);
     }
   }
   EXPECT_EQ(back.at(1, Precision::kInt4), 1.125);
-  EXPECT_THROW(backend::load_latency_table(path + ".does-not-exist"), std::runtime_error);
+  EXPECT_THROW(clado::core::load_latency_table(path + ".does-not-exist"), std::runtime_error);
+
+  // Every saved table loads: save refuses what load would reject.
+  for (const double bad : {std::numeric_limits<double>::infinity(), -1.0,
+                           std::numeric_limits<double>::quiet_NaN(), 1e300}) {
+    clado::core::LatencyTable t = table;
+    t.ms[1][2] = bad;
+    EXPECT_THROW(clado::core::save_latency_table(t, path), std::invalid_argument) << bad;
+  }
+  clado::core::LatencyTable ragged = table;
+  ragged.ms[0].pop_back();
+  EXPECT_THROW(clado::core::save_latency_table(ragged, path), std::invalid_argument);
+
+  // And load rejects an artifact holding such entries (written here as a
+  // raw state dict), naming the file.
+  for (const float bad : {std::numeric_limits<float>::infinity(), -1.0F}) {
+    clado::tensor::StateDict dict;
+    dict["latency_ms"] = Tensor({1, 3}, std::vector<float>{1.0F, bad, 0.5F});
+    clado::tensor::save_state_dict(dict, path);
+    try {
+      clado::core::load_latency_table(path);
+      ADD_FAILURE() << "loaded a latency of " << bad;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(path), std::string::npos) << e.what();
+    }
+  }
 }
 
-TEST(LatencyTable, CostsIndexColumnsByExecutionPrecision) {
-  backend::LatencyTable table;
-  table.ms = {{4.0, 1.5, 0.75}, {8.0, 3.25, 1.125}};
-  const std::vector<int> bits = {2, 4, 8};
-  const auto costs = backend::latency_costs(table, 2, bits);
-  ASSERT_EQ(costs.size(), 2u);
-  // 2- and 4-bit candidates run on the same int4 backend, so they share a
-  // column; 8-bit takes the int8 column.
-  EXPECT_EQ(costs[0], (std::vector<double>{0.75, 0.75, 1.5}));
-  EXPECT_EQ(costs[1], (std::vector<double>{1.125, 1.125, 3.25}));
-  EXPECT_THROW(backend::latency_costs(table, 3, bits), std::invalid_argument);
-}
-
-// ---- solver: milliseconds as the knapsack column ----------------------------
-
-TEST(SolverSecondaryCost, BudgetConstrainsTheSwappedColumn) {
-  // Objective alone prefers choice 1 in both groups; the secondary
-  // (latency) budget only admits (0, 0).
-  clado::solver::QuadraticProblem problem;
-  problem.G = Tensor({4, 4});
-  const double diag[4] = {5.0, 1.0, 5.0, 1.0};
-  for (std::int64_t i = 0; i < 4; ++i) problem.G[i * 4 + i] = static_cast<float>(diag[i]);
-  problem.cost = {{4.0, 8.0}, {4.0, 8.0}};
-  problem.budget = 16.0;  // bytes: everything feasible
-
-  const std::vector<std::vector<double>> latency = {{1.0, 3.0}, {2.0, 5.0}};
-  const auto res = clado::solver::solve_with_fallback(problem, latency, 4.0);
-  ASSERT_TRUE(res.feasible);
-  EXPECT_EQ(res.choice, (std::vector<int>{0, 0}));
-
-  // Unconstrained control: the bytes budget admits the better objective.
-  const auto wide = clado::solver::solve_with_fallback(problem, latency, 100.0);
-  ASSERT_TRUE(wide.feasible);
-  EXPECT_EQ(wide.choice, (std::vector<int>{1, 1}));
-
-  EXPECT_THROW(clado::solver::solve_with_fallback(problem, {{1.0, 3.0}}, 4.0),
-               std::invalid_argument);
-  EXPECT_THROW(clado::solver::solve_with_fallback(problem, {{1.0}, {2.0, 5.0}}, 4.0),
-               std::invalid_argument);
-}
+// ---- pipeline: milliseconds as the knapsack column --------------------------
 
 TEST(AssignUnderLatency, PipelineSolvesAgainstMeasuredMilliseconds) {
   Rng rng(29);
   Model model = clado::testing::make_tiny_model(rng);
+  ASSERT_EQ(model.candidate_bits, (std::vector<int>{2, 8}));
   Rng data_rng(31);
   clado::core::MpqPipeline pipeline(model, clado::testing::make_noise_batch(data_rng));
 
-  // 4 layers × candidates {2, 8}: the 8-bit choice is 3× slower everywhere.
-  const std::vector<std::vector<double>> latency(4, {1.0, 3.0});
+  // 4 layers, columns {fp32, int8, int4}: 2-bit candidates run on int4
+  // (1 ms), 8-bit on int8 (3 ms); the fp32 column is never charged.
+  clado::core::LatencyTable table;
+  table.ms.assign(4, {100.0, 3.0, 1.0});
   const auto a =
-      pipeline.assign_under_latency(clado::core::Algorithm::kClado, latency, /*budget_ms=*/8.0);
+      pipeline.assign_under_latency(clado::core::Algorithm::kClado, table, /*budget_ms=*/8.0);
   ASSERT_EQ(a.bits.size(), 4u);
   EXPECT_LE(a.latency_ms, 8.0 + 1e-9);
   EXPECT_GT(a.latency_ms, 0.0);
@@ -213,17 +206,43 @@ TEST(AssignUnderLatency, PipelineSolvesAgainstMeasuredMilliseconds) {
   EXPECT_EQ(a.target_bytes, 0.0);  // latency-budgeted, not size-budgeted
   EXPECT_GT(a.bytes, 0.0);         // realized size still reported
   double realized = 0.0;
-  for (std::size_t g = 0; g < 4; ++g) {
-    realized += latency[g][static_cast<std::size_t>(a.choice[g])];
-  }
+  for (std::size_t g = 0; g < 4; ++g) realized += a.bits[g] == 8 ? 3.0 : 1.0;
   EXPECT_DOUBLE_EQ(realized, a.latency_ms);
 
   EXPECT_THROW(pipeline.assign_under_latency(clado::core::Algorithm::kClado,
-                                             {{1.0, 3.0}}, 8.0),
+                                             clado::core::LatencyTable{{{100.0, 3.0, 1.0}}},
+                                             8.0),
                std::invalid_argument);
-  EXPECT_THROW(pipeline.assign_under_latency(clado::core::Algorithm::kClado,
-                                             std::vector<std::vector<double>>(4, {1.0}), 8.0),
-               std::invalid_argument);
+  clado::core::LatencyTable ragged = table;
+  ragged.ms[2] = {100.0, 3.0};  // no int4 column for the 2-bit candidate
+  EXPECT_THROW(pipeline.assign_under_latency(clado::core::Algorithm::kClado, ragged, 8.0),
+               std::out_of_range);
+}
+
+TEST(AssignUnderLatency, BudgetConstrainsTheLatencyColumn) {
+  Rng rng(29);
+  Model model = clado::testing::make_tiny_model(rng);
+  Rng data_rng(31);
+  clado::core::MpqPipeline pipeline(model, clado::testing::make_noise_batch(data_rng));
+  clado::core::LatencyTable table;
+  table.ms.assign(4, {100.0, 3.0, 1.0});
+
+  // A binding budget (the all-int4 total) admits only the cheap choices...
+  const auto tight = pipeline.assign_under_latency(clado::core::Algorithm::kClado, table, 4.0);
+  EXPECT_EQ(tight.bits, (std::vector<int>{2, 2, 2, 2}));
+  EXPECT_DOUBLE_EQ(tight.latency_ms, 4.0);
+
+  // ...while a wide one admits the better objective: the choice of a size
+  // solve whose budget binds nothing.
+  const auto wide = pipeline.assign_under_latency(clado::core::Algorithm::kClado, table, 100.0);
+  const auto unbound = pipeline.assign(clado::core::Algorithm::kClado, 1e12);
+  EXPECT_EQ(wide.choice, unbound.choice);
+  EXPECT_GT(wide.latency_ms, 4.0);
+  EXPECT_LT(wide.predicted, tight.predicted);
+
+  // Below the cheapest choices nothing fits.
+  EXPECT_THROW(pipeline.assign_under_latency(clado::core::Algorithm::kClado, table, 3.0),
+               std::runtime_error);
 }
 
 // ---- engine: mode resolution and error paths --------------------------------
@@ -302,7 +321,7 @@ TEST(BackendEngine, MixedAssignmentRunsEveryQuantLayerOnItsBackend) {
   const auto& prepared = engine.prepared_layers();
   ASSERT_EQ(prepared.size(), layers);
   for (std::size_t i = 0; i < layers; ++i) {
-    EXPECT_EQ(prepared[i].precision, backend::precision_for_bits(bits[i])) << "layer " << i;
+    EXPECT_EQ(prepared[i].precision, precision_for_bits(bits[i])) << "layer " << i;
     if (prepared[i].precision == Precision::kInt4) {
       EXPECT_FALSE(prepared[i].w_s4.empty());
       EXPECT_TRUE(prepared[i].w_s8.empty());

@@ -277,33 +277,6 @@ TEST(ServeServer, InvalidShapeRejectedUpFront) {
   EXPECT_NE(r.error.find("[3, 8, 8]"), std::string::npos) << r.error;
 }
 
-TEST(ServeServer, CapturesPerRequestTraces) {
-  auto engine = make_engine({}, 1);
-  ServerConfig cfg = paused_config(1, 8);
-  cfg.capture_traces = true;
-  Server server(engine, cfg);
-  Rng rng(61);
-  auto future = server.submit(make_sample(rng));
-  server.resume();
-  const Response r = future.get();
-  ASSERT_EQ(r.status, Status::kOk) << r.error;
-  ASSERT_FALSE(r.trace.empty());
-  bool saw_batch = false;
-  bool saw_forward = false;
-  for (const auto& event : r.trace) {
-    if (event.name == "serve/batch") {
-      saw_batch = true;
-      EXPECT_EQ(event.depth, 0);
-    }
-    if (event.name == "serve/engine_forward") {
-      saw_forward = true;
-      EXPECT_GE(event.depth, 1) << "forward should nest inside serve/batch";
-    }
-  }
-  EXPECT_TRUE(saw_batch);
-  EXPECT_TRUE(saw_forward);
-}
-
 TEST(ServeServer, ConcurrentVitReplicasBitIdenticalToSolo) {
   // Two workers run the two replica plans of one frozen vit_mini network
   // at once. Its attention blocks are fallback steps that call the shared

@@ -64,7 +64,6 @@
 #include <utility>
 #include <vector>
 
-#include "clado/backend/latency.h"
 #include "clado/core/algorithms.h"
 #include "clado/core/report.h"
 #include "clado/data/synthcv.h"
@@ -257,8 +256,8 @@ bool parse(int argc, char** argv, Options& opts) {
 
 // Size budget from --frac, or the measured-latency budget when --budget-ms
 // is given: the bench_backend artifact supplies the per-layer milliseconds
-// column the solver optimizes accuracy under (candidate bits map to table
-// columns by the backend that executes them, via latency_costs).
+// the solver optimizes accuracy under (assign_under_latency maps each
+// candidate bit-width to the column of the precision that executes it).
 clado::core::Assignment compute_assignment(clado::models::TrainedModel& tm,
                                            clado::core::MpqPipeline& pipeline,
                                            const Options& opts) {
@@ -268,10 +267,8 @@ clado::core::Assignment compute_assignment(clado::models::TrainedModel& tm,
           "--budget-ms needs --latency-table=PATH (run bench_backend " + tm.model.name +
           " to measure one)");
     }
-    const auto table = clado::backend::load_latency_table(opts.latency_table);
-    const auto cost = clado::backend::latency_costs(table, tm.model.quant_layers.size(),
-                                                    tm.model.candidate_bits);
-    return pipeline.assign_under_latency(opts.algorithm, cost, opts.budget_ms);
+    return pipeline.assign_under_latency(
+        opts.algorithm, clado::core::load_latency_table(opts.latency_table), opts.budget_ms);
   }
   return pipeline.assign(opts.algorithm, tm.model.uniform_size_bytes(8) * opts.frac);
 }

@@ -90,7 +90,7 @@ const std::vector<std::string> kAllRules = {
 
 const std::vector<std::string> kSubsystems = {"tensor", "linalg", "nn",  "quant", "data",
                                               "models", "solver", "core", "obs",  "fault",
-                                              "serve",  "backend"};
+                                              "serve"};
 
 constexpr std::size_t kNoOffset = static_cast<std::size_t>(-1);
 

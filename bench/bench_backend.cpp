@@ -10,9 +10,10 @@
 //
 // Part 2 measures every quantizable layer of a model at each execution
 // precision (fp32 / int8 / int4, integer paths including the quantize and
-// requant seam work the serving backend pays) and writes the result as the
-// checksummed latency-table artifact consumed by --budget-ms latency-aware
-// solves (clado_cli assign, bench_runtime). Shapes come from a probe
+// requant seam work the serving backend pays; a layer the served plan keeps
+// in fp32 is charged its fp32 time in every column) and writes the result
+// as the checksummed latency-table artifact consumed by --budget-ms
+// latency-aware solves (clado_cli assign, bench_runtime). Shapes come from a probe
 // forward through the real model; weights are synthetic codes — latency
 // depends on shape, not values — so no zoo training is needed.
 #include <algorithm>

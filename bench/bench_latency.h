@@ -16,18 +16,27 @@
 // Weights are synthetic random codes — latency depends on shape, not
 // values — and the layer shapes come from one probe forward through the
 // real model, so conv layers are timed at their im2col GEMM size.
+//
+// A layer the served plan keeps in fp32 whatever its bits (its input is not
+// an 8-bit fake-quant output, or it has no integer codes) is charged its
+// fp32 time in the int8 and int4 columns too, so a latency-budgeted solve
+// never trades accuracy for a speedup the server does not deliver.
 #pragma once
 
 #include <cstdint>
 #include <chrono>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "clado/core/algorithms.h"
+#include "clado/data/synthcv.h"
 #include "clado/models/model.h"
 #include "clado/nn/layers.h"
 #include "clado/quant/int4.h"
+#include "clado/quant/qat.h"
+#include "clado/serve/engine.h"
 #include "clado/tensor/kernels.h"
 #include "clado/tensor/rng.h"
 
@@ -77,6 +86,29 @@ inline std::vector<LayerGemmShape> probe_layer_shapes(clado::models::Model& mode
   return shapes;
 }
 
+/// The precision each quant layer of `model` executes at when served: the
+/// prepared layers of a uniform-int8 integer Engine over a clone calibrated
+/// on one random batch. Which layers run integer depends on the graph and
+/// the weight scheme, not on the bits, so kFp32 here means fp32 at int4 too.
+inline std::vector<clado::quant::Precision> served_precisions(
+    const clado::models::Model& model) {
+  clado::models::Model clone = model.clone();
+  clado::tensor::Rng rng(1618);
+  clado::data::Batch calib;
+  calib.images = clado::nn::Tensor::randn(
+      {4, clone.channels, clone.image_size, clone.image_size}, rng);
+  for (std::int64_t i = 0; i < 4; ++i) calib.labels.push_back(i % clone.num_classes);
+  clone.calibrate_activations(calib);
+  clado::serve::EngineSpec spec;
+  spec.bits.assign(clone.quant_layers.size(), 8);
+  spec.max_batch = 1;
+  spec.backend = clado::serve::BackendMode::kOn;
+  const clado::serve::Engine engine(std::move(clone), std::move(spec));
+  std::vector<clado::quant::Precision> out;
+  for (const auto& prep : engine.prepared_layers()) out.push_back(prep.precision);
+  return out;
+}
+
 /// Times `fn` adaptively: at least 3 runs and `min_seconds` of wall clock,
 /// returning seconds per run (the bench_gemm_kernels policy).
 template <typename Fn>
@@ -96,14 +128,17 @@ inline double time_per_run_adaptive(Fn&& fn, double min_seconds) {
 
 /// Measures ms[layer][precision] for every quant layer of `model` at the
 /// process-wide dispatched kernel level (this is a deployment measurement,
-/// not a scalar-reference race). `min_seconds` bounds the per-timing wall
-/// clock; bench_backend uses a longer window than the inline fallback.
+/// not a scalar-reference race), charging fp32 time in every column of a
+/// layer served_precisions keeps in fp32. `min_seconds` bounds the
+/// per-timing wall clock; bench_backend uses a longer window than the
+/// inline fallback.
 inline clado::core::LatencyTable measure_latency_table(clado::models::Model& model,
                                                        double min_seconds = 0.02) {
   namespace kernels = clado::tensor::kernels;
   const kernels::Level level = kernels::active_level();
   clado::tensor::Rng rng(2718);
 
+  const std::vector<clado::quant::Precision> served = served_precisions(model);
   clado::core::LatencyTable table;
   for (const LayerGemmShape& s : probe_layer_shapes(model)) {
     const auto mk = static_cast<std::size_t>(s.m * s.k);
@@ -132,6 +167,10 @@ inline clado::core::LatencyTable measure_latency_table(clado::models::Model& mod
                                       w_f.data(), out_f.data(), s.k, s.k);
         },
         min_seconds);
+    if (served[table.ms.size()] == clado::quant::Precision::kFp32) {
+      table.ms.push_back({t_fp32 * 1e3, t_fp32 * 1e3, t_fp32 * 1e3});
+      continue;
+    }
     const double t_int8 = time_per_run_adaptive(
         [&] {
           kernels::quantize_f32_s8(level, s.m * s.k, in_f.data(), 16.0F, 3, in_q.data());

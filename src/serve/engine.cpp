@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <stdexcept>
+#include <unordered_set>
 #include <utility>
 
 #include "clado/models/model.h"
@@ -10,23 +11,8 @@
 #include "clado/obs/obs.h"
 #include "clado/quant/freeze.h"
 #include "clado/serve/plan.h"
-#include "clado/tensor/env.h"
 
 namespace clado::serve {
-
-namespace {
-
-bool resolve_backend(BackendMode mode) {
-  if (mode != BackendMode::kAuto) return mode == BackendMode::kOn;
-  const auto env = clado::tensor::env_str("CLADO_BACKEND");
-  // Opt-in: integer execution changes the numerics the fake-quant pipeline
-  // reported, so it must never switch on silently.
-  if (!env.has_value() || *env == "off" || *env == "0") return false;
-  if (*env == "on" || *env == "1") return true;
-  throw std::invalid_argument("CLADO_BACKEND: expected on/1/off/0, got \"" + *env + "\"");
-}
-
-}  // namespace
 
 Engine::Engine(clado::models::Model model, EngineSpec spec)
     : spec_(std::move(spec)), model_(std::move(model)) {
@@ -36,7 +22,7 @@ Engine::Engine(clado::models::Model model, EngineSpec spec)
   if (spec_.max_batch < 1) {
     throw std::invalid_argument("Engine: max_batch must be >= 1");
   }
-  backend_enabled_ = resolve_backend(spec_.backend);
+  backend_enabled_ = spec_.backend == BackendMode::kOn;
   const clado::obs::Span span("serve/engine_load");
   model_.net->set_training(false);
   model_.net->clear_cache();
@@ -75,6 +61,18 @@ Engine::Engine(clado::models::Model model, EngineSpec spec)
     }
     clado::obs::counter("serve.plans_compiled").add(static_cast<std::int64_t>(plans_.size()));
     if (backend_layers > 0) clado::obs::counter("serve.backend_steps").add(backend_layers);
+  }
+  // Every plan compiles the same graph against the same map, so replica 0's
+  // steps name every layer that runs integer; the rest become kFp32 entries
+  // that keep only their shape, freeing their codes.
+  std::unordered_set<const PreparedLayer*> used;
+  for (const PlanStep& step : plans_.front()->steps()) used.insert(step.prepared);
+  for (PreparedLayer& prep : prepared_) {
+    if (used.count(&prep) != 0) continue;
+    PreparedLayer fp32;
+    fp32.n = prep.n;
+    fp32.k = prep.k;
+    prep = std::move(fp32);
   }
   predict_out_.resize(plans_.size());
   clado::obs::counter("serve.engines_loaded").add();

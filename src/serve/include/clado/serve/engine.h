@@ -30,11 +30,13 @@ using clado::tensor::Tensor;
 /// EngineSpec::fusion.
 enum class Fusion { kOn };
 
-/// Whether quantized layers execute on true integer backends (int8/int4
-/// kernels selected per layer from the frozen bit assignment) instead of
-/// the fake-quant fp32 simulation. kAuto defers to the CLADO_BACKEND env
-/// var ("on"/"1" or "off"/"0"; unset = off).
-enum class BackendMode { kAuto, kOn, kOff };
+/// Whether quantized layers may execute on true integer kernels (int8/int4
+/// selected per layer from the frozen bit assignment) instead of the
+/// fake-quant fp32 simulation. With kOn, a conv/linear layer runs integer
+/// exactly when its compiled input is an 8-bit fake-quant output (see
+/// CompiledPlan); every other layer keeps the fp32 GEMM on its baked
+/// weights.
+enum class BackendMode { kOff, kOn };
 
 /// How to freeze an Engine's weights at load time.
 struct EngineSpec {
@@ -50,7 +52,7 @@ struct EngineSpec {
   /// batches through the plan in chunks of this size.
   std::int64_t max_batch = 32;
   Fusion fusion = Fusion::kOn;  ///< ignored (see Fusion)
-  BackendMode backend = BackendMode::kAuto;
+  BackendMode backend = BackendMode::kOff;
 };
 
 /// Immutable, pre-quantized inference engine. Thread-safe across distinct
@@ -81,11 +83,12 @@ class Engine {
   /// Plan arena batch capacity (EngineSpec::max_batch).
   std::int64_t plan_batch_capacity() const { return spec_.max_batch; }
 
-  /// True when quantized layers execute on integer backends (BackendMode
-  /// resolved to on).
+  /// True when the engine was built with BackendMode::kOn.
   bool backend_enabled() const { return backend_enabled_; }
   /// Per-quant-layer execution material (empty unless backend_enabled());
-  /// ordered like Model::quant_layers / EngineSpec::bits.
+  /// ordered like Model::quant_layers / EngineSpec::bits. Entry i's
+  /// precision is the arithmetic layer i executes in: a layer no plan step
+  /// runs integer is a kFp32 entry without codes.
   const std::vector<PreparedLayer>& prepared_layers() const {
     return prepared_;
   }
@@ -118,8 +121,8 @@ class Engine {
   clado::models::Model model_;
   bool backend_enabled_ = false;
   /// Integer codes per quant layer, built once at freeze and shared (by
-  /// pointer) with every plan. Stable storage: never resized after
-  /// construction.
+  /// pointer) with every plan; entries no plan runs are reset to kFp32.
+  /// Stable storage: never resized after construction.
   std::vector<PreparedLayer> prepared_;
   std::vector<std::unique_ptr<CompiledPlan>> plans_;  ///< one per replica
   std::vector<Tensor> predict_out_;                   ///< per-replica logits scratch

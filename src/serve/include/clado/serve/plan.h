@@ -23,12 +23,15 @@
 // order of the eager forwards, so plan logits are bit-identical to
 // Sequential::forward — verified across the model zoo in plan_test.
 //
-// Integer execution: a conv/linear step whose module maps to an integer
-// PreparedLayer (the exact codes of its frozen weight, int8 verbatim or
-// <= 4-bit packed two per byte) quantizes its input to int8, runs
-// integer_gemm at the layer's precision and requantizes the int32
-// accumulator to fp32 — float only at layer seams, the semantics the
-// fake-quant sensitivity sweep calibrated.
+// Integer execution: a conv/linear step runs integer only when its module
+// maps to an integer PreparedLayer (the exact codes of its frozen weight,
+// int8 verbatim or <= 4-bit packed two per byte) AND its input buffer is
+// `fq8`, i.e. written by an 8-bit fake-quant step. It then quantizes that
+// input to int8 at the fake-quant's own grid (lossless), runs integer_gemm
+// at the layer's precision and requantizes the int32 accumulator to fp32.
+// Every other step keeps the fp32 GEMM on its baked weights. Both compute
+// the fake-quant function the sensitivity sweep measured (the integer step
+// up to float rounding), and neither depends on the batch's other samples.
 #pragma once
 
 #include <cstdint>
@@ -113,8 +116,7 @@ struct PlanBuffer {
   int pinned = 0;
   /// Set when an 8-bit kFakeQuant step with an integral zero point defines
   /// this buffer: its contents sit exactly on that affine grid, so a
-  /// backend step reading it can quantize its input statically (qparams
-  /// frozen at compile time) and losslessly.
+  /// conv/linear step reading it may run integer (see attach_backend).
   bool fq8 = false;
   float fq_scale = 1.0F;
   float fq_zero_point = 0.0F;
@@ -154,16 +156,15 @@ struct PlanStep {
   std::int64_t take_tokens = 0, take_dim = 0, take_index = 0;
   Shape in_shape, out_shape;  ///< per-sample shapes (no batch axis)
 
-  // Integer execution (kConv / kLinear selected by the Engine's
-  // PreparedMap). When `prepared` is null the step runs the fp32 kernels;
-  // otherwise the input is quantized to int8, the prepared integer weight
-  // GEMM runs at the layer's assigned precision, and the int32 accumulator
-  // is requantized to fp32 in `out` — float only at the layer seams,
-  // exactly the fake-quant semantics.
+  // Integer execution (kConv / kLinear on an `fq8` input whose module the
+  // Engine's PreparedMap gives integer codes). When `prepared` is null the
+  // step runs the fp32 kernels; otherwise the input is quantized to int8 on
+  // its fake-quant grid, the prepared integer weight GEMM runs at the
+  // layer's assigned precision, and the int32 accumulator is requantized to
+  // fp32 in `out`. The input qparams are set once at compile time.
   const PreparedLayer* prepared = nullptr;
-  bool in_static_q = false;  ///< input qparams frozen at compile (FQ producer)
-  float in_scale = 1.0F;     ///< input scale (recomputed per run when dynamic)
-  std::int32_t in_zp = 0;    ///< input zero point, signed-int8 domain
+  float in_scale = 1.0F;   ///< input scale (the producing fake-quant's)
+  std::int32_t in_zp = 0;  ///< input zero point, signed-int8 domain
   std::vector<std::int8_t> q_in;    ///< quantized input, max_batch * per_sample_in
   std::vector<std::int8_t> q_cols;  ///< int8 im2col workspace (conv, per sample)
   std::vector<std::int32_t> q_acc;  ///< int32 accumulator
@@ -181,9 +182,9 @@ class CompiledPlan {
   /// `sample_shape` ([C, H, W]) and plans buffers for up to `max_batch`
   /// samples. Unrecognized modules are probed with a zeros [1, ...] forward
   /// to learn their output shape. When `prepared` is non-null, conv/linear
-  /// steps whose module maps to an integer PreparedLayer execute on that
-  /// precision (consistency-checked against the layer geometry). Throws
-  /// std::invalid_argument on max_batch < 1.
+  /// steps whose module maps to an integer PreparedLayer (consistency-checked
+  /// against the layer geometry) execute on that precision if their input
+  /// buffer is `fq8`. Throws std::invalid_argument on max_batch < 1.
   CompiledPlan(clado::nn::Sequential& net, const Shape& sample_shape, std::int64_t max_batch,
                const PreparedMap* prepared = nullptr);
 
@@ -208,25 +209,26 @@ class CompiledPlan {
   std::size_t num_steps() const { return steps_.size(); }
   /// Steps the compiler could not fuse into the arena program.
   std::size_t fallback_steps() const;
-  /// Conv/linear steps running on integer kernels (`prepared` set).
+  /// Conv/linear steps running on integer kernels (`prepared` set): those
+  /// with integer codes and an `fq8` input.
   std::size_t backend_steps() const;
   const std::vector<PlanStep>& steps() const { return steps_; }
   const std::vector<PlanBuffer>& buffers() const { return buffers_; }
   /// Per-sample output shape (no batch axis), e.g. [num_classes].
   const Shape& output_shape() const { return output_shape_; }
   /// Human-readable step listing, one line per step; conv/linear lines
-  /// carry a `backend=fp32|int8|int4` tag (the arithmetic that executes)
-  /// plus `in=static|dynamic` for integer steps.
+  /// carry a `backend=fp32|int8|int4` tag (the arithmetic that executes).
   std::string dump() const;
 
  private:
   void compile_module(clado::nn::Module& module);
   void compile_children(clado::nn::Sequential& seq);
   /// Attaches integer execution to a freshly-built conv/linear step when
-  /// the Engine's PreparedMap carries integer codes for `module`. `wn`/`wk`
-  /// are the layer's expected weight-matrix dims (validated against the
-  /// PreparedLayer), `acc_numel`/`cols_numel` size the int32 accumulator
-  /// and the int8 im2col workspace (0 = no workspace).
+  /// the Engine's PreparedMap carries integer codes for `module` and the
+  /// step's input buffer is `fq8`. `wn`/`wk` are the layer's expected
+  /// weight-matrix dims (validated against the PreparedLayer),
+  /// `acc_numel`/`cols_numel` size the int32 accumulator and the int8
+  /// im2col workspace (0 = no workspace).
   void attach_backend(PlanStep& step, const clado::nn::Module& module, std::int64_t wn,
                       std::int64_t wk, std::int64_t acc_numel, std::int64_t cols_numel);
   void run_step(PlanStep& step, std::int64_t n);

@@ -154,9 +154,6 @@ std::string CompiledPlan::dump() const {
       out += " backend=";
       out += step.prepared != nullptr ? clado::quant::precision_name(step.prepared->precision)
                                       : "fp32";
-      if (step.prepared != nullptr) {
-        out += step.in_static_q ? " in=static" : " in=dynamic";
-      }
     }
     if (step.kind == StepKind::kFallback && step.fallback != nullptr) {
       out += " (" + step.fallback->type_name() + ")";
@@ -182,16 +179,15 @@ void CompiledPlan::attach_backend(PlanStep& step, const Module& module, std::int
                            std::to_string(prep.k) + "], module wants [" + std::to_string(wn) +
                            ", " + std::to_string(wk) + "]");
   }
-  step.prepared = &prep;
+  // The sweep measured a layer without a fake-quant in front of it on fp32
+  // inputs, and the baked weights already are its fake-quant function, so
+  // only a layer whose input sits on an 8-bit grid runs integer. Quantizing
+  // that input at (scale, nearbyint(zp) - 128) is an exact u8 -> s8 shift.
   const PlanBuffer& src = buffers_[static_cast<std::size_t>(step.in)];
-  if (src.fq8) {
-    // The producing fake-quant pinned the input onto an 8-bit affine grid;
-    // quantizing at (scale, nearbyint(zp) - 128) is an exact u8 -> s8 shift,
-    // so the qparams freeze at compile time.
-    step.in_static_q = true;
-    step.in_scale = src.fq_scale;
-    step.in_zp = static_cast<std::int32_t>(std::nearbyint(src.fq_zero_point)) - 128;
-  }
+  if (!src.fq8) return;
+  step.prepared = &prep;
+  step.in_scale = src.fq_scale;
+  step.in_zp = static_cast<std::int32_t>(std::nearbyint(src.fq_zero_point)) - 128;
   step.q_in.resize(static_cast<std::size_t>(max_batch_ * step.per_sample_in));
   step.q_acc.resize(static_cast<std::size_t>(acc_numel));
   if (cols_numel > 0) step.q_cols.resize(static_cast<std::size_t>(cols_numel));
@@ -365,8 +361,8 @@ void CompiledPlan::compile_module(Module& module) {
     step.label = "plan/fq";
     const PlanStep& emitted = emit(std::move(step), cur_shape_);
     if (fq->bits() == 8 && emitted.fq_zero_point == std::nearbyint(emitted.fq_zero_point)) {
-      // Downstream backend steps may quantize this buffer statically: its
-      // values sit exactly on the (scale, zero_point) grid.
+      // Its values sit exactly on the (scale, zero_point) grid, so a reader
+      // may run integer on them losslessly.
       auto& ob = buffers_[static_cast<std::size_t>(emitted.out)];
       ob.fq8 = true;
       ob.fq_scale = emitted.fq_scale;
@@ -557,22 +553,8 @@ void CompiledPlan::run(std::int64_t n, Tensor& out) {
 }
 
 void CompiledPlan::quantize_step_input(PlanStep& step, std::int64_t n) {
-  const float* x = buf(step.in);
-  const std::int64_t total = n * step.per_sample_in;
-  if (!step.in_static_q) {
-    // Dynamic input quantization: derive per-run qparams from the batch's
-    // own range, exactly quantize_int8_minmax on the staged buffer.
-    float lo = x[0];
-    float hi = x[0];
-    for (std::int64_t i = 1; i < total; ++i) {
-      lo = std::min(lo, x[i]);
-      hi = std::max(hi, x[i]);
-    }
-    const clado::quant::QParams qp = clado::quant::choose_qparams(lo, hi);
-    step.in_scale = qp.scale;
-    step.in_zp = qp.zero_point;
-  }
-  clado::tensor::kernels::quantize_f32_s8(clado::tensor::kernels::active_level(), total, x,
+  clado::tensor::kernels::quantize_f32_s8(clado::tensor::kernels::active_level(),
+                                          n * step.per_sample_in, buf(step.in),
                                           1.0F / step.in_scale, step.in_zp, step.q_in.data());
 }
 

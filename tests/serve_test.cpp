@@ -16,8 +16,10 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "clado/data/synthcv.h"
 #include "clado/models/builders.h"
 #include "clado/obs/obs.h"
 #include "clado/serve/engine.h"
@@ -110,33 +112,58 @@ TEST(ServeEngine, ReplicasAgree) {
   }
 }
 
+/// resnet_a calibrated on one random batch, frozen at mixed 4/8 with its
+/// integer kernels on: the engine whose answers could depend on the
+/// co-batch if any step read across samples.
+std::shared_ptr<Engine> make_integer_engine() {
+  Rng rng(202);
+  auto model = clado::models::build_by_name("resnet_a", rng, /*num_classes=*/10);
+  Rng data_rng(303);
+  clado::data::Batch calib;
+  calib.images = Tensor::randn({4, model.channels, model.image_size, model.image_size}, data_rng);
+  for (std::int64_t i = 0; i < 4; ++i) calib.labels.push_back(i % model.num_classes);
+  model.calibrate_activations(calib);
+  EngineSpec spec;
+  for (std::size_t i = 0; i < model.quant_layers.size(); ++i) {
+    spec.bits.push_back(i % 2 == 0 ? 4 : 8);
+  }
+  spec.label = "mixed";
+  spec.backend = clado::serve::BackendMode::kOn;
+  return std::make_shared<Engine>(std::move(model), std::move(spec));
+}
+
 TEST(ServeServer, BatchedResultsBitIdenticalToSingle) {
   // Two engines frozen from the same seed are bit-identical; one serves
-  // batches, the other answers single-sample references.
-  auto served = make_engine({8, 8, 8, 8}, 1);
-  auto reference = make_engine({8, 8, 8, 8}, 1);
-
-  Server server(served, paused_config(/*workers=*/1, /*max_batch=*/8));
-  Rng rng(123);
-  std::vector<Tensor> samples;
-  std::vector<std::future<Response>> futures;
-  for (int i = 0; i < 6; ++i) {
-    samples.push_back(make_sample(rng));
-    futures.push_back(server.submit(samples.back()));
-  }
-  server.resume();
-  for (int i = 0; i < 6; ++i) {
-    Response r = futures[static_cast<std::size_t>(i)].get();
-    ASSERT_EQ(r.status, Status::kOk) << r.error;
-    EXPECT_GT(r.batch_size, 1) << "requests were not coalesced";
-    Tensor one = samples[static_cast<std::size_t>(i)];
-    one.reshape_inplace({1, 3, 8, 8});
-    const Tensor expected = reference->infer(one);
-    ASSERT_EQ(r.logits.numel(), expected.numel());
-    for (std::int64_t k = 0; k < expected.numel(); ++k) {
-      EXPECT_EQ(r.logits[k], expected[k]) << "sample " << i << " logit " << k;
+  // batches, the other answers single-sample references. Covered for the
+  // fake-quant tiny model and for an integer mixed-precision engine.
+  const std::vector<std::pair<std::shared_ptr<Engine>, std::shared_ptr<Engine>>> pairs = {
+      {make_engine({8, 8, 8, 8}, 1), make_engine({8, 8, 8, 8}, 1)},
+      {make_integer_engine(), make_integer_engine()}};
+  for (const auto& [served, reference] : pairs) {
+    SCOPED_TRACE(served->label());
+    Server server(served, paused_config(/*workers=*/1, /*max_batch=*/8));
+    const auto& s = served->sample_shape();
+    Rng rng(123);
+    std::vector<Tensor> samples;
+    std::vector<std::future<Response>> futures;
+    for (int i = 0; i < 6; ++i) {
+      samples.push_back(Tensor::randn({s[0], s[1], s[2]}, rng));
+      futures.push_back(server.submit(samples.back()));
     }
-    EXPECT_EQ(r.predicted, expected.argmax());
+    server.resume();
+    for (int i = 0; i < 6; ++i) {
+      Response r = futures[static_cast<std::size_t>(i)].get();
+      ASSERT_EQ(r.status, Status::kOk) << r.error;
+      EXPECT_GT(r.batch_size, 1) << "requests were not coalesced";
+      Tensor one = samples[static_cast<std::size_t>(i)];
+      one.reshape_inplace({1, s[0], s[1], s[2]});
+      const Tensor expected = reference->infer(one);
+      ASSERT_EQ(r.logits.numel(), expected.numel());
+      for (std::int64_t k = 0; k < expected.numel(); ++k) {
+        EXPECT_EQ(r.logits[k], expected[k]) << "sample " << i << " logit " << k;
+      }
+      EXPECT_EQ(r.predicted, expected.argmax());
+    }
   }
 }
 

@@ -50,7 +50,10 @@
 //
 // The command line is the only configuration source. Every numeric flag
 // is parsed strictly: a value that does not parse in full or falls outside
-// its range names the flag on stderr and exits 2 before any model loads.
+// its range, or --budget-ms without --latency-table, names the flag on
+// stderr and exits 2 before any model loads. A command that fails once running
+// (an infeasible --budget-ms, an unreadable artifact) prints
+// `clado: <reason>` on stderr and exits 1.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -240,6 +243,10 @@ bool parse_flags(int argc, char** argv, Options& opts) {
       return false;
     }
   }
+  if (opts.budget_ms > 0.0 && opts.latency_table.empty()) {
+    throw std::invalid_argument(
+        "--budget-ms needs --latency-table=PATH (run bench_backend on the model to measure one)");
+  }
   return true;
 }
 
@@ -262,11 +269,6 @@ clado::core::Assignment compute_assignment(clado::models::TrainedModel& tm,
                                            clado::core::MpqPipeline& pipeline,
                                            const Options& opts) {
   if (opts.budget_ms > 0.0) {
-    if (opts.latency_table.empty()) {
-      throw std::runtime_error(
-          "--budget-ms needs --latency-table=PATH (run bench_backend " + tm.model.name +
-          " to measure one)");
-    }
     return pipeline.assign_under_latency(
         opts.algorithm, clado::core::load_latency_table(opts.latency_table), opts.budget_ms);
   }
@@ -472,12 +474,7 @@ int run_query(const Options& opts) {
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  Options opts;
-  if (!parse(argc, argv, opts)) return usage();
-
+int run(const Options& opts) {
   if (opts.command == "query") return run_query(opts);
 
   if (opts.command == "models") {
@@ -529,4 +526,17 @@ int main(int argc, char** argv) {
     return 0;
   }
   return usage();
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  Options opts;
+  if (!parse(argc, argv, opts)) return usage();
+  try {
+    return run(opts);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "clado: %s\n", e.what());
+    return 1;
+  }
 }

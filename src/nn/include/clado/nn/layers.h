@@ -16,7 +16,13 @@
 namespace clado::nn {
 
 /// 2-d convolution (NCHW), square kernels, optional grouping (depthwise when
-/// groups == in_channels). Implemented as im2col + GEMM per sample & group.
+/// groups == in_channels). Implemented as im2col + GEMM per group, over
+/// chunks of samples: when the per-sample GEMM runs gemm()'s blocked kernel,
+/// up to stack_chunk() samples share one GEMM with n = chunk·positions,
+/// which gives every output the bits of its own per-sample GEMM (see
+/// clado::tensor::gemm_takes_small_path); otherwise the chunk is 1.
+/// forward, forward_into and linear_map_on_last_input all run that one body;
+/// backward keeps its per-sample loop.
 class Conv2d : public Module, public QuantizableLayer {
  public:
   Conv2d(std::int64_t in_channels, std::int64_t out_channels, std::int64_t kernel,
@@ -59,18 +65,38 @@ class Conv2d : public Module, public QuantizableLayer {
   /// Input stashed by the most recent forward pass.
   const Tensor& last_input() const { return input_; }
 
-  /// Per-sample im2col scratch size for an [*, C, h, w] input.
-  std::int64_t cols_numel(std::int64_t h, std::int64_t w) const;
+  /// Workspace floats one stacked GEMM may use (im2col rows plus the
+  /// stacked output), about 1 MB: a chunk's operands stay in L2.
+  static constexpr std::int64_t kStackNumel = 256 * 1024;
+
+  /// Samples per GEMM for an [*, C, h, w] input: 1 when the per-sample GEMM
+  /// takes gemm()'s tiny path, else as many as fit kStackNumel (at least 1).
+  std::int64_t stack_chunk(std::int64_t h, std::int64_t w) const;
+
+  /// Scratch floats forward_into needs for batches of up to `max_n` samples:
+  /// im2col rows for min(max_n, stack_chunk(h, w)) samples and, when that
+  /// chunk is above 1, the [out_c/groups, chunk·positions] GEMM output that
+  /// is scattered back to NCHW.
+  std::int64_t scratch_numel(std::int64_t h, std::int64_t w, std::int64_t max_n) const;
 
   /// Allocation-free forward for the serving plan: convolves `n` samples
   /// from `in` ([n, C, h, w] contiguous) into `out` using the raw weight
-  /// (no transform) and the caller's `cols` scratch of cols_numel(h, w)
-  /// floats. Issues the exact im2col/GEMM/bias sequence of forward(), so
-  /// results are bit-identical.
+  /// (no transform) and the caller's `scratch` of scratch_numel(h, w, n)
+  /// floats. Runs the conv body of forward(), so results are bit-identical.
   void forward_into(const float* in, std::int64_t n, std::int64_t h, std::int64_t w,
-                    float* cols, float* out) const;
+                    float* scratch, float* out) const;
 
  private:
+  /// One group's per-sample GEMM: W_g [og, patch] x cols^T [patch, positions].
+  struct GemmShape {
+    std::int64_t og, positions, patch;
+  };
+  GemmShape gemm_shape(std::int64_t h, std::int64_t w) const;
+  /// The conv body: out = conv(in, weight) + bias (bias may be null), in
+  /// chunks of stack_chunk() samples through `scratch`.
+  void convolve(const float* in, std::int64_t n, std::int64_t h, std::int64_t w,
+                const float* weight, const float* bias, float* scratch, float* out) const;
+
   std::int64_t in_channels_, out_channels_, kernel_, stride_, pad_, groups_;
   bool has_bias_;
   Parameter weight_;  // [out_c, in_c/groups, k, k]
@@ -80,6 +106,7 @@ class Conv2d : public Module, public QuantizableLayer {
   // forward stash
   Tensor input_;             // [N, C, H, W]
   Tensor effective_weight_;  // weight after transform (or a copy)
+  std::vector<float> scratch_;  // conv workspace of non-inference forwards, grow-only
 };
 
 /// Fully connected layer acting on the last axis; leading axes are folded

@@ -1,8 +1,10 @@
 #include "clado/nn/layers.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <vector>
 
 #include "clado/tensor/ops.h"
 
@@ -62,64 +64,85 @@ Tensor Conv2d::forward(const Tensor& input) {
   const std::int64_t n = input.size(0);
   const std::int64_t h = input.size(2);
   const std::int64_t w = input.size(3);
-  const std::int64_t oh = conv_out_size(h, kernel_, stride_, pad_);
-  const std::int64_t ow = conv_out_size(w, kernel_, stride_, pad_);
-  const std::int64_t cg = in_channels_ / groups_;
-  const std::int64_t og = out_channels_ / groups_;
-  const std::int64_t patch = cg * kernel_ * kernel_;
-  const std::int64_t positions = oh * ow;
-
-  Tensor output({n, out_channels_, oh, ow});
-  std::vector<float> cols(static_cast<std::size_t>(positions * patch));
-
-  for (std::int64_t s = 0; s < n; ++s) {
-    const float* img = input.data() + s * in_channels_ * h * w;
-    float* out = output.data() + s * out_channels_ * positions;
-    for (std::int64_t g = 0; g < groups_; ++g) {
-      im2col(img + g * cg * h * w, cg, h, w, kernel_, kernel_, stride_, pad_, cols.data());
-      // [og, positions] = W_g [og, patch] x cols^T [patch, positions]
-      gemm(false, true, og, positions, patch, 1.0F,
-           eff->data() + g * og * patch, cols.data(), 0.0F,
-           out + g * og * positions);
-    }
-    if (has_bias_) {
-      for (std::int64_t c = 0; c < out_channels_; ++c) {
-        float* row = out + c * positions;
-        const float b = bias_.value[c];
-        for (std::int64_t p = 0; p < positions; ++p) row[p] += b;
-      }
-    }
-  }
+  Tensor output({n, out_channels_, conv_out_size(h, kernel_, stride_, pad_),
+                 conv_out_size(w, kernel_, stride_, pad_)});
+  // An inference-mode forward writes no module state (replicas run one
+  // module's forward concurrently in the plan's fallback steps), so it takes
+  // a per-call workspace; the others reuse the module's.
+  std::vector<float> local;
+  std::vector<float>& scratch = inference_ ? local : scratch_;
+  const auto need = static_cast<std::size_t>(scratch_numel(h, w, n));
+  if (scratch.size() < need) scratch.resize(need);
+  convolve(input.data(), n, h, w, eff->data(), has_bias_ ? bias_.value.data() : nullptr,
+           scratch.data(), output.data());
   return output;
 }
 
-std::int64_t Conv2d::cols_numel(std::int64_t h, std::int64_t w) const {
-  const std::int64_t oh = conv_out_size(h, kernel_, stride_, pad_);
-  const std::int64_t ow = conv_out_size(w, kernel_, stride_, pad_);
-  return oh * ow * (in_channels_ / groups_) * kernel_ * kernel_;
+Conv2d::GemmShape Conv2d::gemm_shape(std::int64_t h, std::int64_t w) const {
+  return {out_channels_ / groups_,
+          conv_out_size(h, kernel_, stride_, pad_) * conv_out_size(w, kernel_, stride_, pad_),
+          (in_channels_ / groups_) * kernel_ * kernel_};
+}
+
+std::int64_t Conv2d::stack_chunk(std::int64_t h, std::int64_t w) const {
+  const GemmShape g = gemm_shape(h, w);
+  if (clado::tensor::gemm_takes_small_path(g.og, g.positions, g.patch)) return 1;
+  return std::max<std::int64_t>(1, kStackNumel / (g.positions * (g.patch + g.og)));
+}
+
+std::int64_t Conv2d::scratch_numel(std::int64_t h, std::int64_t w, std::int64_t max_n) const {
+  const GemmShape g = gemm_shape(h, w);
+  const std::int64_t chunk = std::min(max_n, stack_chunk(h, w));
+  return chunk * g.positions * g.patch + (chunk > 1 ? chunk * g.positions * g.og : 0);
 }
 
 void Conv2d::forward_into(const float* in, std::int64_t n, std::int64_t h, std::int64_t w,
-                          float* cols, float* out_base) const {
-  const std::int64_t oh = conv_out_size(h, kernel_, stride_, pad_);
-  const std::int64_t ow = conv_out_size(w, kernel_, stride_, pad_);
-  const std::int64_t cg = in_channels_ / groups_;
-  const std::int64_t og = out_channels_ / groups_;
-  const std::int64_t patch = cg * kernel_ * kernel_;
-  const std::int64_t positions = oh * ow;
+                          float* scratch, float* out) const {
+  convolve(in, n, h, w, weight_.value.data(), has_bias_ ? bias_.value.data() : nullptr, scratch,
+           out);
+}
 
-  for (std::int64_t s = 0; s < n; ++s) {
-    const float* img = in + s * in_channels_ * h * w;
-    float* out = out_base + s * out_channels_ * positions;
+void Conv2d::convolve(const float* in, std::int64_t n, std::int64_t h, std::int64_t w,
+                      const float* weight, const float* bias, float* scratch,
+                      float* out) const {
+  const auto [og, positions, patch] = gemm_shape(h, w);
+  const std::int64_t cg = in_channels_ / groups_;
+  const std::int64_t in_numel = in_channels_ * h * w;
+  const std::int64_t out_numel = out_channels_ * positions;
+  const std::int64_t chunk = std::min(n, stack_chunk(h, w));
+  float* cols = scratch;
+  float* stacked = scratch + chunk * positions * patch;
+
+  for (std::int64_t s0 = 0; s0 < n; s0 += chunk) {
+    const std::int64_t count = std::min(chunk, n - s0);
     for (std::int64_t g = 0; g < groups_; ++g) {
-      im2col(img + g * cg * h * w, cg, h, w, kernel_, kernel_, stride_, pad_, cols);
-      gemm(false, true, og, positions, patch, 1.0F, weight_.value.data() + g * og * patch,
-           cols, 0.0F, out + g * og * positions);
+      for (std::int64_t i = 0; i < count; ++i) {
+        im2col(in + (s0 + i) * in_numel + g * cg * h * w, cg, h, w, kernel_, kernel_, stride_,
+               pad_, cols + i * positions * patch);
+      }
+      const float* w_g = weight + g * og * patch;
+      if (count == 1) {
+        // [og, positions] = W_g [og, patch] x cols^T [patch, positions]
+        gemm(false, true, og, positions, patch, 1.0F, w_g, cols, 0.0F,
+             out + s0 * out_numel + g * og * positions);
+        continue;
+      }
+      // [og, count·positions] in one GEMM; stack_chunk() > 1 only when the
+      // per-sample GEMM is blocked, whose sums do not depend on n.
+      gemm(false, true, og, count * positions, patch, 1.0F, w_g, cols, 0.0F, stacked);
+      for (std::int64_t i = 0; i < count; ++i) {
+        float* dst = out + (s0 + i) * out_numel + g * og * positions;
+        for (std::int64_t o = 0; o < og; ++o) {
+          std::copy_n(stacked + (o * count + i) * positions, positions, dst + o * positions);
+        }
+      }
     }
-    if (has_bias_) {
+  }
+  if (bias != nullptr) {
+    for (std::int64_t s = 0; s < n; ++s) {
       for (std::int64_t c = 0; c < out_channels_; ++c) {
-        float* row = out + c * positions;
-        const float b = bias_.value[c];
+        float* row = out + s * out_numel + c * positions;
+        const float b = bias[c];
         for (std::int64_t p = 0; p < positions; ++p) row[p] += b;
       }
     }
@@ -200,24 +223,12 @@ Tensor Conv2d::linear_map_on_last_input(const Tensor& weight_like) {
   const std::int64_t n = input_.size(0);
   const std::int64_t h = input_.size(2);
   const std::int64_t w = input_.size(3);
-  const std::int64_t oh = conv_out_size(h, kernel_, stride_, pad_);
-  const std::int64_t ow = conv_out_size(w, kernel_, stride_, pad_);
-  const std::int64_t cg = in_channels_ / groups_;
-  const std::int64_t og = out_channels_ / groups_;
-  const std::int64_t patch = cg * kernel_ * kernel_;
-  const std::int64_t positions = oh * ow;
-
-  Tensor output({n, out_channels_, oh, ow});
-  std::vector<float> cols(static_cast<std::size_t>(positions * patch));
-  for (std::int64_t s = 0; s < n; ++s) {
-    const float* img = input_.data() + s * in_channels_ * h * w;
-    float* out = output.data() + s * out_channels_ * positions;
-    for (std::int64_t g = 0; g < groups_; ++g) {
-      im2col(img + g * cg * h * w, cg, h, w, kernel_, kernel_, stride_, pad_, cols.data());
-      gemm(false, true, og, positions, patch, 1.0F, weight_like.data() + g * og * patch,
-           cols.data(), 0.0F, out + g * og * positions);
-    }
-  }
+  Tensor output({n, out_channels_, conv_out_size(h, kernel_, stride_, pad_),
+                 conv_out_size(w, kernel_, stride_, pad_)});
+  const auto need = static_cast<std::size_t>(scratch_numel(h, w, n));
+  if (scratch_.size() < need) scratch_.resize(need);
+  convolve(input_.data(), n, h, w, weight_like.data(), /*bias=*/nullptr, scratch_.data(),
+           output.data());
   return output;
 }
 

@@ -166,8 +166,9 @@ struct PlanStep {
   float in_scale = 1.0F;   ///< input scale (the producing fake-quant's)
   std::int32_t in_zp = 0;  ///< input zero point, signed-int8 domain
   std::vector<std::int8_t> q_in;    ///< quantized input, max_batch * per_sample_in
-  std::vector<std::int8_t> q_cols;  ///< int8 im2col workspace (conv, per sample)
-  std::vector<std::int32_t> q_acc;  ///< int32 accumulator
+  std::int64_t q_chunk = 1;         ///< samples per integer conv GEMM
+  std::vector<std::int8_t> q_cols;  ///< int8 im2col workspace, q_chunk samples
+  std::vector<std::int32_t> q_acc;  ///< int32 accumulator (conv: q_chunk samples)
 
   Tensor stage_in;    ///< fallback staging (reallocated only on n change)
   std::string label;  ///< span name, e.g. "plan/conv"

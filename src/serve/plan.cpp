@@ -283,17 +283,21 @@ void CompiledPlan::compile_module(Module& module) {
     step.in_h = h;
     step.in_w = w;
     step.label = "plan/conv";
-    // The im2col workspace is per-sample (samples stream through it), so it
-    // is NOT scaled by max_batch — exactly the eager kernel's cols vector.
-    PlanStep& emitted =
-        emit(std::move(step), {conv->out_channels(), oh, ow}, conv->cols_numel(h, w));
+    // The workspace holds one chunk of stacked samples (Conv2d::stack_chunk),
+    // the same layout the eager forward uses.
+    PlanStep& emitted = emit(std::move(step), {conv->out_channels(), oh, ow},
+                             conv->scratch_numel(h, w, max_batch_));
     if (conv->groups() == 1) {
       // The integer conv path is im2col + GEMM over the full patch — the
-      // no-groups layout (grouped convs keep their eager fp32 kernel).
-      attach_backend(emitted, *conv, conv->out_channels(),
-                     conv->in_channels() * conv->kernel() * conv->kernel(),
-                     /*acc_numel=*/oh * ow * conv->out_channels(),
-                     /*cols_numel=*/conv->cols_numel(h, w));
+      // no-groups layout (grouped convs keep their eager fp32 kernel). Its
+      // kernels are exact, so any number of samples may share one GEMM.
+      const std::int64_t out_c = conv->out_channels();
+      const std::int64_t patch = conv->in_channels() * conv->kernel() * conv->kernel();
+      emitted.q_chunk = std::clamp(Conv2d::kStackNumel / (oh * ow * (patch + out_c)),
+                                   std::int64_t{1}, max_batch_);
+      attach_backend(emitted, *conv, out_c, patch,
+                     /*acc_numel=*/emitted.q_chunk * oh * ow * out_c,
+                     /*cols_numel=*/emitted.q_chunk * oh * ow * patch);
     }
     return;
   }
@@ -565,15 +569,25 @@ void CompiledPlan::run_conv_backend(PlanStep& step, std::int64_t n) {
   const std::int64_t oh = step.out_shape[1];
   const std::int64_t ow = step.out_shape[2];
   const std::int64_t positions = oh * ow;
+  const std::int64_t patch = step.prepared->k;
   const float rescale = step.in_scale * step.prepared->w_scale;
-  for (std::int64_t s = 0; s < n; ++s) {
-    const std::int8_t* img = step.q_in.data() + s * step.per_sample_in;
-    clado::quant::im2col_s8(img, step.in_shape[0], step.in_h, step.in_w, conv->kernel(),
-                            conv->stride(), conv->padding(), oh, ow, step.in_zp,
-                            step.q_cols.data());
-    integer_gemm(*step.prepared, positions, step.q_cols.data(), step.in_zp, step.q_acc.data());
-    clado::quant::requant_scatter(step.q_acc.data(), positions, out_c, rescale,
-                                  conv->bias_data(), buf(step.out) + s * step.per_sample_out);
+  for (std::int64_t s0 = 0; s0 < n; s0 += step.q_chunk) {
+    const std::int64_t count = std::min(step.q_chunk, n - s0);
+    for (std::int64_t i = 0; i < count; ++i) {
+      clado::quant::im2col_s8(step.q_in.data() + (s0 + i) * step.per_sample_in,
+                              step.in_shape[0], step.in_h, step.in_w, conv->kernel(),
+                              conv->stride(), conv->padding(), oh, ow, step.in_zp,
+                              step.q_cols.data() + i * positions * patch);
+    }
+    // One [count·positions, out_c] accumulator: each row is its own exact
+    // integer dot product, so stacking samples changes no result.
+    integer_gemm(*step.prepared, count * positions, step.q_cols.data(), step.in_zp,
+                 step.q_acc.data());
+    for (std::int64_t i = 0; i < count; ++i) {
+      clado::quant::requant_scatter(step.q_acc.data() + i * positions * out_c, positions, out_c,
+                                    rescale, conv->bias_data(),
+                                    buf(step.out) + (s0 + i) * step.per_sample_out);
+    }
   }
 }
 

@@ -23,6 +23,20 @@ namespace clado::tensor {
 void gemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n, std::int64_t k,
           float alpha, const float* a, const float* b, float beta, float* c);
 
+/// Largest m·n·k product gemm() hands to its tiny serial kernel (mul+add
+/// with a zero skip) instead of the blocked kernel.
+inline constexpr std::int64_t kGemmSmallPathMaxFlops = 16 * 1024;
+
+/// Which kernel gemm() runs: true for the tiny path, false for the blocked
+/// kernel. The blocked kernel sums each C element as a chain per k-block
+/// started from zero, whatever n or the element's column, so stacking
+/// independent column blocks along n changes no output bit there; the tiny
+/// path rounds differently at the AVX2 level. A caller that stacks must
+/// therefore ask this of the shape it would have issued unstacked.
+constexpr bool gemm_takes_small_path(std::int64_t m, std::int64_t n, std::int64_t k) {
+  return m * n * k <= kGemmSmallPathMaxFlops;
+}
+
 /// Single-threaded reference GEMM running the exact blocked schedule gemm()
 /// parallelizes over row blocks; gemm() must match it bit-for-bit at any
 /// thread count (exercised by thread_pool_test).

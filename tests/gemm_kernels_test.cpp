@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -194,6 +195,67 @@ TEST(GemmKernels, ParallelGemmMatchesSingleRangeKernelBitExactly) {
   for (std::int64_t i = 0; i < m * n; ++i) {
     ASSERT_EQ(c_pool[i], c_direct[static_cast<std::size_t>(i)]) << "element " << i;
   }
+}
+
+// The rule the stacked convolution rests on: the blocked kernel sums each C
+// element per k-block from zero in a fixed order, so a GEMM whose B holds
+// `chunk` column blocks side by side along n gives each block the bits of
+// its own GEMM. Per-sample shapes sit on both sides of gemm()'s small-path
+// threshold (the kernel itself has no threshold) and past one k-block (128);
+// widths that are no multiple of the 16-column tile move each block to a
+// different offset inside the packed panels.
+TEST(GemmKernels, StackingAlongNIsBitIdenticalToPerBlockGemms) {
+  struct Case {
+    std::int64_t m, positions, k, chunk;
+  };
+  const std::vector<Case> cases = {
+      {32, 16, 16, 5},   // 8192 per block: gemm() would take the tiny path
+      {16, 49, 27, 7},   // 21168: just above the threshold
+      {16, 64, 144, 4},  {70, 36, 300, 3},  {6, 100, 129, 9},  {64, 16, 288, 17},
+  };
+  std::vector<Level> levels = {Level::kScalar};
+  if (kernels::cpu_supports_avx2()) levels.push_back(Level::kAvx2);
+  Rng rng(31);
+  for (const Level level : levels) {
+    for (const Case& cs : cases) {
+      for (const bool trans_b : {false, true}) {
+        SCOPED_TRACE(std::string(kernels::level_name(level)) + " m=" + std::to_string(cs.m) +
+                     " positions=" + std::to_string(cs.positions) + " k=" +
+                     std::to_string(cs.k) + " chunk=" + std::to_string(cs.chunk) +
+                     " tb=" + std::to_string(trans_b));
+        const std::int64_t n = cs.chunk * cs.positions;
+        const auto a = randn_buffer(cs.m * cs.k, rng);
+        const auto b = randn_buffer(cs.k * n, rng);
+        const std::int64_t ldb = trans_b ? cs.k : n;
+        std::vector<float> stacked(static_cast<std::size_t>(cs.m * n), 0.0F);
+        kernels::gemm_f32_row_range(level, false, trans_b, 0, cs.m, n, cs.k, 1.0F, a.data(),
+                                    b.data(), stacked.data(), cs.k, ldb);
+        for (std::int64_t i = 0; i < cs.chunk; ++i) {
+          const float* b_i = b.data() + (trans_b ? i * cs.positions * cs.k : i * cs.positions);
+          std::vector<float> own(static_cast<std::size_t>(cs.m * cs.positions), 0.0F);
+          kernels::gemm_f32_row_range(level, false, trans_b, 0, cs.m, cs.positions, cs.k, 1.0F,
+                                      a.data(), b_i, own.data(), cs.k, ldb);
+          for (std::int64_t r = 0; r < cs.m; ++r) {
+            ASSERT_EQ(std::memcmp(stacked.data() + r * n + i * cs.positions,
+                                  own.data() + r * cs.positions,
+                                  sizeof(float) * static_cast<std::size_t>(cs.positions)),
+                      0)
+                << "block " << i << " row " << r;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(GemmKernels, SmallPathPredicatePinsTheThreshold) {
+  static_assert(kGemmSmallPathMaxFlops == 16 * 1024);
+  EXPECT_TRUE(gemm_takes_small_path(16, 32, 32));   // exactly 16384
+  EXPECT_FALSE(gemm_takes_small_path(16, 32, 33));  // 16896
+  EXPECT_TRUE(gemm_takes_small_path(1, 1, 16384));
+  EXPECT_FALSE(gemm_takes_small_path(1, 1, 16385));
+  EXPECT_TRUE(gemm_takes_small_path(32, 16, 16));   // resnet_a's 1x1 downsamples
+  EXPECT_FALSE(gemm_takes_small_path(16, 64, 144)); // its 3x3 convs stay blocked
 }
 
 // Pins the DOCUMENTED divergence of gemm()'s tiny-problem fast path: a zero

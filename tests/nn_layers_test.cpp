@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <set>
+#include <string>
+#include <vector>
 
+#include "clado/models/builders.h"
 #include "clado/nn/loss.h"
 #include "clado/nn/optimizer.h"
 #include "clado/nn/sequential.h"
@@ -101,6 +107,123 @@ TEST(Conv2d, WeightTransformAppliedInForward) {
   conv.set_weight_transform(nullptr);
   const Tensor y2 = conv.forward(Tensor({1, 1, 1, 1}, 1.0F));
   EXPECT_FLOAT_EQ(y2[0], 2.0F);
+}
+
+// --- Batch-size invariance of the stacked conv body ------------------------
+
+struct ConvCase {
+  std::string name;
+  std::int64_t in_c, out_c, kernel, stride, pad, groups, h, w;
+};
+
+// Every conv geometry the zoo runs (the quant-layer convs of each model at
+// its image size, plus vit_mini's patch embedding), then grouped, depthwise,
+// stride-2 and pad-0 convs on both sides of gemm()'s small-path threshold.
+std::vector<ConvCase> conv_cases() {
+  std::vector<ConvCase> cases;
+  for (const std::string& name : clado::models::model_names()) {
+    Rng rng(11);
+    clado::models::Model model = clado::models::build_by_name(name, rng);
+    model.net->set_training(false);
+    model.net->forward(Tensor({1, model.channels, model.image_size, model.image_size}));
+    for (const QuantLayerRef& ref : model.quant_layers) {
+      const auto* conv = dynamic_cast<const Conv2d*>(ref.layer);
+      if (conv == nullptr) continue;
+      cases.push_back({name + "/" + ref.name, conv->in_channels(), conv->out_channels(),
+                       conv->kernel(), conv->stride(), conv->padding(), conv->groups(),
+                       conv->last_input().size(2), conv->last_input().size(3)});
+    }
+  }
+  cases.push_back({"vit_mini/embeddings.proj", 3, 32, 4, 4, 0, 1, 16, 16});
+  cases.push_back({"grouped_stacked", 64, 64, 3, 1, 1, 2, 8, 8});
+  cases.push_back({"grouped_stride2", 16, 32, 3, 2, 1, 4, 16, 16});
+  cases.push_back({"depthwise", 32, 32, 3, 1, 1, 32, 16, 16});
+  cases.push_back({"depthwise_stride2", 24, 24, 5, 2, 2, 24, 16, 16});
+  cases.push_back({"stride2_3x3", 16, 32, 3, 2, 1, 1, 16, 16});
+  cases.push_back({"pad0_3x3", 8, 24, 3, 1, 0, 1, 12, 12});
+  cases.push_back({"pad0_1x1_stride2", 16, 32, 1, 2, 0, 1, 8, 8});
+  return cases;
+}
+
+bool same_bytes(const float* a, const float* b, std::int64_t count) {
+  return std::memcmp(a, b, sizeof(float) * static_cast<std::size_t>(count)) == 0;
+}
+
+// Whatever batch a sample shares, its conv output has the bits of its own
+// N = 1 forward, at every batch size around the stacking chunk, and the
+// three entry points onto the conv body (forward, forward_into, and
+// linear_map_on_last_input with the layer's own weight plus the bias) agree
+// byte for byte.
+TEST(Conv2d, EverySampleIsBitIdenticalToItsSoloForwardAtAnyBatchSize) {
+  for (const ConvCase& cs : conv_cases()) {
+    SCOPED_TRACE(cs.name);
+    Rng rng(5);
+    Conv2d conv(cs.in_c, cs.out_c, cs.kernel, cs.stride, cs.pad, cs.groups);
+    conv.init(rng);
+    std::vector<ParamRef> params;
+    conv.collect_params("", params);
+    for (auto& b : params[1].param->value.flat()) b = static_cast<float>(rng.normal());
+
+    const std::int64_t chunk = conv.stack_chunk(cs.h, cs.w);
+    ASSERT_GE(chunk, 1);
+    const std::int64_t max_n = std::max<std::int64_t>(64, chunk + 1);
+    const Tensor x = Tensor::randn({max_n, cs.in_c, cs.h, cs.w}, rng);
+    const std::int64_t in_numel = cs.in_c * cs.h * cs.w;
+    std::vector<Tensor> solo;
+    for (std::int64_t s = 0; s < max_n; ++s) {
+      Tensor one({1, cs.in_c, cs.h, cs.w});
+      std::copy_n(x.data() + s * in_numel, in_numel, one.data());
+      solo.push_back(conv.forward(one));
+    }
+    const std::int64_t out_numel = solo[0].numel();
+
+    std::set<std::int64_t> sizes = {1, 2, chunk, chunk + 1, 64};
+    if (chunk > 1) sizes.insert(chunk - 1);
+    for (const std::int64_t n : sizes) {
+      SCOPED_TRACE("n=" + std::to_string(n) + " chunk=" + std::to_string(chunk));
+      Tensor batch({n, cs.in_c, cs.h, cs.w});
+      std::copy_n(x.data(), n * in_numel, batch.data());
+      const Tensor y = conv.forward(batch);
+      for (std::int64_t s = 0; s < n; ++s) {
+        ASSERT_TRUE(same_bytes(y.data() + s * out_numel, solo[static_cast<std::size_t>(s)].data(),
+                               out_numel))
+            << "sample " << s;
+      }
+
+      std::vector<float> scratch(static_cast<std::size_t>(conv.scratch_numel(cs.h, cs.w, n)));
+      std::vector<float> into(static_cast<std::size_t>(y.numel()));
+      conv.forward_into(batch.data(), n, cs.h, cs.w, scratch.data(), into.data());
+      ASSERT_TRUE(same_bytes(into.data(), y.data(), y.numel())) << "forward_into";
+
+      Tensor mapped = conv.linear_map_on_last_input(conv.weight_param().value);
+      const std::int64_t positions = out_numel / cs.out_c;
+      for (std::int64_t s = 0; s < n; ++s) {
+        for (std::int64_t c = 0; c < cs.out_c; ++c) {
+          float* row = mapped.data() + (s * cs.out_c + c) * positions;
+          for (std::int64_t p = 0; p < positions; ++p) row[p] += params[1].param->value[c];
+        }
+      }
+      ASSERT_TRUE(same_bytes(mapped.data(), y.data(), y.numel())) << "linear_map_on_last_input";
+    }
+  }
+}
+
+TEST(Conv2d, StacksOnlyWhenThePerSampleGemmIsBlocked) {
+  // resnet_a-like 3x3 at 8x8: [16, 288] x [288, 64] is blocked, so it stacks.
+  const Conv2d dense(32, 16, 3, 1, 1);
+  EXPECT_GT(dense.stack_chunk(8, 8), 1);
+  EXPECT_EQ(dense.scratch_numel(8, 8, 1), 64 * 288);
+  const std::int64_t chunk = dense.stack_chunk(8, 8);
+  EXPECT_LE(chunk * 64 * (288 + 16), Conv2d::kStackNumel);
+  EXPECT_EQ(dense.scratch_numel(8, 8, 1000), chunk * 64 * (288 + 16));
+  // A 1x1 stride-2 downsample with [32, 16] x [16, 16] per sample takes
+  // the tiny path: stacking it would change its bits, so it never stacks.
+  const Conv2d down(16, 32, 1, 2, 0);
+  EXPECT_EQ(down.stack_chunk(8, 8), 1);
+  EXPECT_EQ(down.scratch_numel(8, 8, 64), 16 * 16);
+  // Depthwise: [1, 9] x [9, 256] per group.
+  const Conv2d depthwise(32, 32, 3, 1, 1, 32);
+  EXPECT_EQ(depthwise.stack_chunk(16, 16), 1);
 }
 
 TEST(Linear, MatchesHandComputation) {

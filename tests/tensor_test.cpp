@@ -6,6 +6,7 @@
 #include <functional>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "clado/tensor/check.h"
 #include "clado/tensor/env.h"
@@ -229,6 +230,47 @@ TEST(Ops, Im2ColRejectsInvalidGeometry) {
   std::vector<float> grad(16, 0.0F);
   EXPECT_THROW(col2im(cols.data(), 1, 4, 4, 3, 3, -1, 1, grad.data()),
                std::invalid_argument);
+}
+
+// im2col runs fixed-extent copies for 3x3 and 1x1 kernels and a runtime
+// loop otherwise; every geometry must give the layout of the plain
+// per-element definition, padding zeros included.
+TEST(Ops, Im2ColMatchesThePerElementDefinition) {
+  struct Case {
+    std::int64_t c, h, w, kh, kw, stride, pad;
+  };
+  const std::vector<Case> cases = {
+      {3, 6, 5, 3, 3, 1, 1}, {2, 7, 7, 3, 3, 2, 1}, {2, 5, 6, 3, 3, 1, 0}, {4, 4, 4, 3, 3, 2, 2},
+      {3, 5, 5, 1, 1, 1, 0}, {3, 6, 6, 1, 1, 2, 0}, {2, 4, 4, 1, 1, 1, 1}, {3, 8, 8, 4, 4, 4, 0},
+      {2, 7, 6, 5, 5, 2, 2}, {1, 5, 5, 2, 3, 1, 1},
+  };
+  Rng rng(17);
+  for (const Case& cs : cases) {
+    SCOPED_TRACE("k=" + std::to_string(cs.kh) + "x" + std::to_string(cs.kw) + " stride=" +
+                 std::to_string(cs.stride) + " pad=" + std::to_string(cs.pad));
+    const std::int64_t oh = conv_out_size(cs.h, cs.kh, cs.stride, cs.pad);
+    const std::int64_t ow = conv_out_size(cs.w, cs.kw, cs.stride, cs.pad);
+    const Tensor x = Tensor::randn({cs.c, cs.h, cs.w}, rng);
+    std::vector<float> cols(static_cast<std::size_t>(oh * ow * cs.c * cs.kh * cs.kw), -1.0F);
+    im2col(x.data(), cs.c, cs.h, cs.w, cs.kh, cs.kw, cs.stride, cs.pad, cols.data());
+    std::size_t i = 0;
+    for (std::int64_t oy = 0; oy < oh; ++oy) {
+      for (std::int64_t ox = 0; ox < ow; ++ox) {
+        for (std::int64_t ch = 0; ch < cs.c; ++ch) {
+          for (std::int64_t ky = 0; ky < cs.kh; ++ky) {
+            for (std::int64_t kx = 0; kx < cs.kw; ++kx, ++i) {
+              const std::int64_t iy = oy * cs.stride + ky - cs.pad;
+              const std::int64_t ix = ox * cs.stride + kx - cs.pad;
+              const bool inside = iy >= 0 && iy < cs.h && ix >= 0 && ix < cs.w;
+              ASSERT_EQ(cols[i], inside ? x.data()[(ch * cs.h + iy) * cs.w + ix] : 0.0F)
+                  << "position (" << oy << ", " << ox << ") tap (" << ch << ", " << ky << ", "
+                  << kx << ")";
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(Ops, Col2ImIsAdjointOfIm2Col) {
